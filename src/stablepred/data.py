@@ -107,6 +107,8 @@ def load_dataset(path, label_column: str | None = None) -> Dataset:
     When ``label_column`` is given, that column is parsed as +1/-1 labels
     ("1"/"-1" accepted; "0" is mapped to -1 with a warning reporting how many
     values were remapped).  When it is None the cohort is loaded unlabeled.
+    Non-numeric and non-finite (nan, inf) cells are rejected with their row
+    and column.
     """
     path = Path(path)
     if not path.exists():
@@ -145,6 +147,12 @@ def load_dataset(path, label_column: str | None = None) -> Dataset:
                 raise ValueError(
                     f"{path}: non-numeric value {cell!r} at row {i + 2}, column {header[j]!r}"
                 ) from None
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(
+            f"{path}: non-finite value {rows[i][j]!r} at row {i + 2}, column {header[j]!r}"
+        )
 
     y = None
     if label_idx is not None:

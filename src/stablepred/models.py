@@ -8,8 +8,8 @@ import numpy as np
 
 from .data import Dataset, Laplacian
 from . import objectives as obj
-from .objectives import FactorizedParams, HyperParams, LinearParams
-from .optimizer import FitResult, OptimizerConfig, init_params, minimize
+from .objectives import HyperParams, LinearParams
+from .optimizer import FitResult, OptimizerConfig, init_params, minimize_vector
 
 __all__ = [
     "MODEL_NAMES",
@@ -106,45 +106,19 @@ def fit_model(
     seed = cfg.seed if init_seed is None else init_seed
 
     if spec.name in AUTOENCODER_MODELS:
-        lap, aug = spec.laplacian, spec.augment
-
-        def objective(p):
-            return obj.joint_loss(p, d, aug, h, lap)
-
-        def gradient(p):
-            return obj.joint_grad(p, d, aug, h, lap)
-
         init = init_params(d.n_features, h.hidden_units, seed)
-        result = minimize(objective, gradient, init, cfg)
-        params = result.params
-        return ModelFit(
-            effective_theta=params.effective_theta(),
-            bias=params.bias,
-            params=params,
-            result=result,
-        )
+        value_and_grad = obj.joint_objective(d, spec.augment, h, spec.laplacian)
+    else:
+        init = LinearParams(theta=np.zeros(d.n_features), bias=0.0)
+        if spec.name == "elastic-net":
+            value_and_grad = obj.elastic_net_objective(d, h)
+        else:
+            value_and_grad = obj.lasso_objective(d, h, spec.laplacian)
 
-    if spec.name == "lasso":
-        objective_fns = (obj.lasso_loss, obj.lasso_grad)
-    elif spec.name == "elastic-net":
-        objective_fns = (obj.elastic_net_loss, obj.elastic_net_grad)
-    else:  # lasso-graph
-        objective_fns = (obj.lasso_graph_loss, obj.lasso_graph_grad)
-
-    loss_fn, grad_fn = objective_fns
-    extra = () if spec.laplacian is None else (spec.laplacian,)
-
-    def objective(p):
-        return loss_fn(p, d, h, *extra)
-
-    def gradient(p):
-        return grad_fn(p, d, h, *extra)
-
-    init = LinearParams(theta=np.zeros(d.n_features), bias=0.0)
-    result = minimize(objective, gradient, init, cfg)
-    params = result.params
+    result = minimize_vector(value_and_grad, init.to_vector(), cfg)
+    params = result.params = init.with_vector(result.params)
     return ModelFit(
-        effective_theta=params.theta.copy(),
+        effective_theta=params.effective_theta(),
         bias=params.bias,
         params=params,
         result=result,

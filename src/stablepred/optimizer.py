@@ -15,6 +15,7 @@ __all__ = [
     "NumericalDivergenceError",
     "init_params",
     "minimize",
+    "minimize_vector",
 ]
 
 _BETA1 = 0.9
@@ -90,35 +91,16 @@ def init_params(n: int, k: int, seed: int) -> FactorizedParams:
     )
 
 
-def minimize(objective, gradient, init, cfg: OptimizerConfig) -> FitResult:
-    """Minimize ``objective`` starting from ``init``.
+def minimize_vector(value_and_grad, x0: np.ndarray, cfg: OptimizerConfig) -> FitResult:
+    """Minimize from the flat vector ``x0``; ``params`` of the result is the final vector.
 
-    ``init`` may be a plain array or any parameter object exposing
-    ``to_vector``/``with_vector`` (LinearParams, FactorizedParams);
-    ``objective`` and ``gradient`` are called with that same type.
-    Raises NumericalDivergenceError (with the iteration index) if the loss
-    or gradient turns non-finite.
+    ``value_and_grad(x)`` returns the loss and its gradient at ``x`` from one
+    evaluation.  Raises NumericalDivergenceError if a loss turns non-finite
+    (at the iteration that produced it) or a gradient does (at the iteration
+    that would step with it).
     """
-    if isinstance(init, np.ndarray):
-        x = init.astype(float).copy()
-
-        def unpack(v):
-            return v
-
-        def grad_vec(v):
-            return np.asarray(gradient(v), dtype=float)
-
-    else:
-        x = init.to_vector()
-        unpack = init.with_vector
-
-        def grad_vec(v):
-            return gradient(init.with_vector(v)).to_vector()
-
-    def loss_at(v: np.ndarray) -> float:
-        return float(objective(unpack(v)))
-
-    loss = loss_at(x)
+    x = np.array(x0, dtype=float)
+    loss, g = value_and_grad(x)
     if not math.isfinite(loss):
         raise NumericalDivergenceError(f"non-finite loss {loss} at iteration 0", 0)
     trace = [loss]
@@ -129,18 +111,19 @@ def minimize(objective, gradient, init, cfg: OptimizerConfig) -> FitResult:
     iterations = 0
 
     for t in range(1, cfg.max_iters + 1):
-        g = grad_vec(x)
         if not np.all(np.isfinite(g)):
             raise NumericalDivergenceError(f"non-finite gradient at iteration {t}", t)
         if cfg.adaptive:
-            m = _BETA1 * m + (1.0 - _BETA1) * g
-            v = _BETA2 * v + (1.0 - _BETA2) * g * g
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * g * g
             m_hat = m / (1.0 - _BETA1**t)
             v_hat = v / (1.0 - _BETA2**t)
             x = x - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
         else:
             x = x - cfg.learning_rate * g
-        loss = loss_at(x)
+        loss, g = value_and_grad(x)
         if not math.isfinite(loss):
             raise NumericalDivergenceError(f"non-finite loss {loss} at iteration {t}", t)
         trace.append(loss)
@@ -150,9 +133,32 @@ def minimize(objective, gradient, init, cfg: OptimizerConfig) -> FitResult:
             break
 
     return FitResult(
-        params=unpack(x),
+        params=x,
         final_loss=trace[-1],
         iterations_used=iterations,
         converged=converged,
         loss_trace=trace,
     )
+
+
+def _flat(p) -> np.ndarray:
+    return p.to_vector() if hasattr(p, "to_vector") else np.asarray(p, dtype=float)
+
+
+def minimize(objective, gradient, init, cfg: OptimizerConfig) -> FitResult:
+    """Minimize ``objective`` starting from ``init``.
+
+    ``init`` may be a plain array or any parameter object exposing
+    ``to_vector``/``with_vector`` (LinearParams, FactorizedParams);
+    ``objective`` and ``gradient`` are called with that same type.
+    An adapter onto ``minimize_vector``, with the same divergence reports.
+    """
+    unpack = getattr(init, "with_vector", lambda vec: vec)
+
+    def value_and_grad(vec):
+        p = unpack(vec)
+        return float(objective(p)), _flat(gradient(p))
+
+    result = minimize_vector(value_and_grad, _flat(init), cfg)
+    result.params = unpack(result.params)
+    return result

@@ -54,6 +54,20 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match="non-numeric"):
             load_dataset(p, label_column="label")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+    def test_non_finite_cell_rejected(self, tmp_path, cell):
+        p = write_csv(tmp_path / "d.csv", f"f1,f2,label\n1,2,1\n3,{cell},-1\n")
+        with pytest.raises(ValueError, match=f"non-finite value '{cell}' at row 3, column 'f2'"):
+            load_dataset(p, label_column="label")
+
+    def test_non_finite_label_and_unlabeled_cell_rejected(self, tmp_path):
+        p = write_csv(tmp_path / "d.csv", "f1,label\n1,nan\n")
+        with pytest.raises(ValueError, match="non-finite value 'nan' at row 2, column 'label'"):
+            load_dataset(p, label_column="label")
+        p = write_csv(tmp_path / "u.csv", "f1,f2\n1,2\ninf,4\n")
+        with pytest.raises(ValueError, match="at row 3, column 'f1'"):
+            load_dataset(p)
+
     def test_label_outside_accepted_set(self, tmp_path):
         p = write_csv(tmp_path / "d.csv", "f1,label\n1,2\n")
         with pytest.raises(ValueError, match="label value"):

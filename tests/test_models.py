@@ -1,5 +1,7 @@
 """Model registry, hyperparameter applicability, and variant fitting."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -135,3 +137,60 @@ class TestFitModel:
         assert np.sum(np.abs(large.effective_theta) > tol) < np.sum(
             np.abs(small.effective_theta) > tol
         )
+
+
+PIN_SPEC = SyntheticSpec(
+    n_samples=40, n_groups=3, group_size=4, within_group_noise=0.3,
+    n_informative_groups=1, true_weight_scale=1.5, label_noise=0.05, seed=21,
+)
+
+# SHA-256 over effective_theta, bias and loss_trace bytes, with iterations
+# used and convergence, recorded before the fit path was fused (numpy 2.4,
+# OpenBLAS 0.3.31, x86-64).  A change meant to keep every number must keep
+# these; re-record them only when a change is meant to move the fits.
+PINNED_FITS = {
+    "lasso": (69, True, "73c1db44032e2fc6658d8b06efebd21fd33cfcb729e491420c4736a38d3a9a02"),
+    "elastic-net": (83, True, "4aa0d5de6132e8bcbb22eace4404cb67bc907d79da60ac99fe055abd250fd9ca"),
+    "lasso-graph": (100, True, "6958d3735879e14f79c459127b656226cf00152bc8e3056751beddef927f298b"),
+    "lasso-autoencoder": (
+        197, True, "01c753892bea21e6db8013e063a41306a758d4ad7dc4f684691697edc6d0a5cd"),
+    "lasso-autoencoder-graph": (
+        300, False, "778881cab437d11a720789cc074a253c23295fa94ef46428ac83177d07ec6562"),
+    "ag-lasso-autoencoder-graph": (
+        176, True, "0560d573d2872e1f9c5632ca896413719e9e9e5210dd47a5029a63997b3a61a1"),
+}
+
+
+class TestBitIdentity:
+    def pin_case(self, model):
+        train = standardize(generate(PIN_SPEC))
+        lap = build_laplacian(make_group_graph(PIN_SPEC), train.feature_names)
+        aug_spec = SyntheticSpec(**{**PIN_SPEC.__dict__, "seed": PIN_SPEC.seed + 2})
+        aug = standardize(generate(aug_spec, labeled=False)).X
+        ae = dict(alpha=0.02, lambda_ae=10.0, lambda_l2=1e-3, hidden_units=3)
+        cases = {
+            "lasso": (ModelSpec("lasso"), HyperParams(alpha=0.02)),
+            "elastic-net": (ModelSpec("elastic-net"), HyperParams(alpha=0.02, lambda_en=0.5)),
+            "lasso-graph": (
+                ModelSpec("lasso-graph", laplacian=lap), HyperParams(alpha=0.02, lambda_fg=0.05)),
+            "lasso-autoencoder": (ModelSpec("lasso-autoencoder"), HyperParams(**ae)),
+            "lasso-autoencoder-graph": (
+                ModelSpec("lasso-autoencoder-graph", laplacian=lap),
+                HyperParams(lambda_fg=0.05, **ae)),
+            "ag-lasso-autoencoder-graph": (
+                ModelSpec("ag-lasso-autoencoder-graph", laplacian=lap, augment=aug),
+                HyperParams(lambda_fg=0.05, **ae)),
+        }
+        return train, *cases[model]
+
+    @pytest.mark.parametrize("model", MODEL_NAMES)
+    def test_fit_matches_pinned_bits(self, model):
+        train, spec, h = self.pin_case(model)
+        cfg = OptimizerConfig(max_iters=300, learning_rate=0.05, rel_tol=3e-6, seed=3)
+        fit = fit_model(spec, train, h, cfg)
+        digest = hashlib.sha256()
+        digest.update(fit.effective_theta.tobytes())
+        digest.update(np.float64(fit.bias).tobytes())
+        digest.update(np.asarray(fit.result.loss_trace, dtype=float).tobytes())
+        got = (fit.result.iterations_used, fit.result.converged, digest.hexdigest())
+        assert got == PINNED_FITS[model]

@@ -103,6 +103,25 @@ class TestMinimize:
             minimize(bad_loss, lambda x: np.array([1.0]), np.array([0.0]), cfg)
         assert exc.value.iteration == 1
 
+    def test_non_finite_gradient_reports_consuming_iteration(self):
+        # the gradient at x_1 is non-finite; step 2 is the one that uses it
+        def bad_grad(x):
+            return np.array([1.0 if x[0] == 0.0 else np.nan])
+
+        cfg = OptimizerConfig(max_iters=50, learning_rate=1.0, seed=0)
+        with pytest.raises(NumericalDivergenceError, match="gradient at iteration 2") as exc:
+            minimize(quadratic, bad_grad, np.array([0.0]), cfg)
+        assert exc.value.iteration == 2
+
+    def test_non_finite_gradient_never_stepped_with_is_not_reported(self):
+        def bad_grad(x):
+            return np.array([1.0 if x[0] == 0.0 else np.inf])
+
+        cfg = OptimizerConfig(max_iters=1, learning_rate=1.0, seed=0)
+        res = minimize(quadratic, bad_grad, np.array([0.0]), cfg)
+        assert res.iterations_used == 1 and not res.converged
+        assert len(res.loss_trace) == 2 and res.final_loss > 9.0
+
     def test_plain_gd_monotone_on_convex(self):
         d, h = toy_problem(seed=2)
         cfg = OptimizerConfig(max_iters=500, learning_rate=1e-4, adaptive=False, seed=0)

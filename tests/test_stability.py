@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from stablepred.data import make_dataset, standardize
 from stablepred.models import ModelSpec
 from stablepred.objectives import HyperParams
-from stablepred.optimizer import OptimizerConfig
+from stablepred.optimizer import NumericalDivergenceError, OptimizerConfig
 from stablepred.stability import (
     BootstrapEnsemble,
     SubsetFamily,
@@ -304,3 +304,12 @@ class TestRunBootstraps:
             run_bootstraps(unlabeled, ModelSpec("lasso"), HyperParams(), self.cfg(), 2, 0)
         with pytest.raises(ValueError, match="at least 2"):
             run_bootstraps(d, ModelSpec("lasso"), HyperParams(), self.cfg(), 1, 0)
+
+    def test_divergence_names_bootstrap_and_iteration(self):
+        # a step of 1e300 overflows the weights, so the first loss is non-finite
+        d = self.small_data()
+        cfg = OptimizerConfig(max_iters=10, learning_rate=1e300, seed=0)
+        with np.errstate(all="ignore"), pytest.raises(NumericalDivergenceError) as exc:
+            run_bootstraps(d, ModelSpec("lasso"), HyperParams(alpha=0.02), cfg, 2, 0)
+        assert str(exc.value).startswith("bootstrap 0: non-finite loss")
+        assert exc.value.iteration == 1
