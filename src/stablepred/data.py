@@ -107,19 +107,35 @@ def load_dataset(path, label_column: str | None = None) -> Dataset:
     When ``label_column`` is given, that column is parsed as +1/-1 labels
     ("1"/"-1" accepted; "0" is mapped to -1 with a warning reporting how many
     values were remapped).  When it is None the cohort is loaded unlabeled.
-    Non-numeric and non-finite (nan, inf) cells are rejected with their row
+    Cells are ASCII float literals without ``_`` separators, optionally padded
+    with whitespace or double-quoted.  Ragged rows (blank lines included),
+    non-numeric and non-finite (nan, inf) cells are rejected with their row
     and column.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise ValueError(f"{path}: empty file, expected a header row") from None
-        rows = list(reader)
+        n_lines = 0
+
+        def data_lines():  # numpy skips empty lines; the line count exposes them
+            nonlocal n_lines
+            for n_lines, line in enumerate(fh, 1):
+                yield line
+
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                values = np.loadtxt(
+                    data_lines(), delimiter=",", comments=None, quotechar='"', ndmin=2
+                )
+            error = "a quoted cell spans lines"
+        except ValueError as e:
+            values, error = None, e
 
     seen = set()
     for name in header:
@@ -133,26 +149,10 @@ def load_dataset(path, label_column: str | None = None) -> Dataset:
             raise ValueError(f"{path}: label column {label_column!r} not found")
         label_idx = header.index(label_column)
 
-    if not rows:
+    if n_lines == 0:
         raise ValueError(f"{path}: no data rows")
-
-    values = np.empty((len(rows), len(header)), dtype=float)
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise ValueError(f"{path}: row {i + 2} has {len(row)} fields, expected {len(header)}")
-        for j, cell in enumerate(row):
-            try:
-                values[i, j] = float(cell)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: non-numeric value {cell!r} at row {i + 2}, column {header[j]!r}"
-                ) from None
-    bad = ~np.isfinite(values)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise ValueError(
-            f"{path}: non-finite value {rows[i][j]!r} at row {i + 2}, column {header[j]!r}"
-        )
+    if values is None or values.shape != (n_lines, len(header)) or not np.isfinite(values).all():
+        raise ValueError(_locate_bad_cell(path, header) or f"{path}: {error}")
 
     y = None
     if label_idx is not None:
@@ -170,6 +170,30 @@ def load_dataset(path, label_column: str | None = None) -> Dataset:
         header = [header[j] for j in keep]
 
     return make_dataset(values, y=y, feature_names=header)
+
+
+def _locate_bad_cell(path: Path, header: list[str]) -> str | None:
+    """Name the first ragged row, else non-numeric cell, else non-finite cell of
+    a CSV that failed to load, or return None.  A cell parses as numpy parses
+    it: ``float`` syntax in ASCII, without ``_`` separators."""
+    non_finite = None
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for i, row in enumerate(reader, 2):
+            if len(row) != len(header):
+                return f"{path}: row {i} has {len(row)} fields, expected {len(header)}"
+            for cell, name in zip(row, header):
+                text = cell.strip()
+                try:
+                    if not text.isascii() or "_" in text:  # float() takes these, numpy not
+                        raise ValueError(text)
+                    value = float(text)
+                except ValueError:
+                    return f"{path}: non-numeric value {cell!r} at row {i}, column {name!r}"
+                if non_finite is None and not np.isfinite(value):
+                    non_finite = f"{path}: non-finite value {cell!r} at row {i}, column {name!r}"
+    return non_finite
 
 
 def write_dataset_csv(d: Dataset, path, label_column: str = DEFAULT_LABEL_COLUMN) -> None:
@@ -245,16 +269,16 @@ def _select_columns(d: Dataset, names: list[str]) -> Dataset:
     )
 
 
-def align_common_features(a: Dataset, b: Dataset) -> tuple[Dataset, Dataset]:
-    """Restrict both cohorts to their shared columns, ordered lexicographically.
+def align_common_features(*cohorts: Dataset) -> tuple[Dataset, ...]:
+    """Restrict every cohort to the columns all share, ordered lexicographically.
 
     Labels and raw statistics are carried through.  Raises if the cohorts
     share no feature names.
     """
-    common = sorted(set(a.feature_names) & set(b.feature_names))
+    common = sorted(set.intersection(*(set(d.feature_names) for d in cohorts)))
     if not common:
         raise ValueError("datasets share no feature names")
-    return _select_columns(a, common), _select_columns(b, common)
+    return tuple(_select_columns(d, common) for d in cohorts)
 
 
 @dataclass(frozen=True)

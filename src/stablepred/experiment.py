@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +124,12 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
 
+# Report fields held as tuples of rows, written as lists of keyed objects; and
+# fields held as sorted (name, value) pairs, written as objects.
+_REPORT_ROWS = {"ci_curve": ("k", "mean_ci"), "snr_top": ("rank", "feature", "snr")}
+_REPORT_MAPPINGS = ("hyperparams", "optimizer")
+
+
 @dataclass(frozen=True)
 class StabilityReport:
     """Everything an experiment measured, in JSON-serializable form."""
@@ -153,63 +159,31 @@ class StabilityReport:
     optimizer: tuple[tuple[str, object], ...]
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "n_train": self.n_train,
-            "n_validation": self.n_validation,
-            "n_features": self.n_features,
-            "n_bootstraps": self.n_bootstraps,
-            "base_seed": self.base_seed,
-            "bootstrap_seeds": list(self.bootstrap_seeds),
-            "ci_curve": [{"k": k, "mean_ci": v} for k, v in self.ci_curve],
-            "snr_top": [
-                {"rank": r, "feature": f, "snr": s} for r, f, s in self.snr_top
-            ],
-            "snr_threshold": self.snr_threshold,
-            "snr_above_count": self.snr_above_count,
-            "selected_count": self.selected_count,
-            "selected_fraction": self.selected_fraction,
-            "selected_tol": self.selected_tol,
-            "validation_auc": self.validation_auc,
-            "f_threshold": self.f_threshold,
-            "f_score": self.f_score,
-            "feature_names": list(self.feature_names),
-            "mean_weights": list(self.mean_weights),
-            "importance": list(self.importance),
-            "dropped_graph_edges": self.dropped_graph_edges,
-            "hyperparams": dict(self.hyperparams),
-            "optimizer": dict(self.optimizer),
-        }
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in _REPORT_ROWS:
+                value = [dict(zip(_REPORT_ROWS[f.name], row)) for row in value]
+            elif f.name in _REPORT_MAPPINGS:
+                value = dict(value)
+            elif isinstance(value, tuple):
+                value = list(value)
+            out[f.name] = value
+        return out
 
     @classmethod
     def from_dict(cls, payload: dict) -> "StabilityReport":
-        return cls(
-            model=payload["model"],
-            n_train=payload["n_train"],
-            n_validation=payload["n_validation"],
-            n_features=payload["n_features"],
-            n_bootstraps=payload["n_bootstraps"],
-            base_seed=payload["base_seed"],
-            bootstrap_seeds=tuple(payload["bootstrap_seeds"]),
-            ci_curve=tuple((row["k"], row["mean_ci"]) for row in payload["ci_curve"]),
-            snr_top=tuple(
-                (row["rank"], row["feature"], row["snr"]) for row in payload["snr_top"]
-            ),
-            snr_threshold=payload["snr_threshold"],
-            snr_above_count=payload["snr_above_count"],
-            selected_count=payload["selected_count"],
-            selected_fraction=payload["selected_fraction"],
-            selected_tol=payload["selected_tol"],
-            validation_auc=payload["validation_auc"],
-            f_threshold=payload["f_threshold"],
-            f_score=payload["f_score"],
-            feature_names=tuple(payload["feature_names"]),
-            mean_weights=tuple(payload["mean_weights"]),
-            importance=tuple(payload["importance"]),
-            dropped_graph_edges=payload["dropped_graph_edges"],
-            hyperparams=tuple(sorted(payload["hyperparams"].items())),
-            optimizer=tuple(sorted(payload["optimizer"].items())),
-        )
+        kwargs = {}
+        for f in fields(cls):
+            value = payload[f.name]
+            if f.name in _REPORT_ROWS:
+                value = tuple(tuple(row[key] for key in _REPORT_ROWS[f.name]) for row in value)
+            elif f.name in _REPORT_MAPPINGS:
+                value = tuple(sorted(value.items()))
+            elif isinstance(value, list):
+                value = tuple(value)
+            kwargs[f.name] = value
+        return cls(**kwargs)
 
     @classmethod
     def from_json(cls, path) -> "StabilityReport":
@@ -226,16 +200,9 @@ class StabilityReport:
 def _load_cohorts(cfg: ExperimentConfig):
     train = load_dataset(cfg.train_path, label_column=cfg.label_column)
     validation = load_dataset(cfg.validation_path, label_column=cfg.label_column)
-    augment = None
-    if cfg.augment_path is not None:
-        augment = load_dataset(cfg.augment_path, label_column=None)
-        train, augment = align_common_features(train, augment)
-    train, validation = align_common_features(train, validation)
-    if augment is not None:
-        # re-restrict in case the validation intersection shrank the train set
-        train, augment = align_common_features(train, augment)
-        train, validation = align_common_features(train, validation)
-    return train, validation, augment
+    if cfg.augment_path is None:
+        return (*align_common_features(train, validation), None)
+    return align_common_features(train, validation, load_dataset(cfg.augment_path))
 
 
 def _build_laplacian_for(cfg: ExperimentConfig, train: Dataset):

@@ -22,6 +22,8 @@ class PredictionSet:
             raise ValueError("scores and labels must have equal length")
         if not np.all(np.isin(self.labels, (-1.0, 1.0))):
             raise ValueError("labels must be +1 or -1")
+        if np.isnan(self.scores).any():
+            raise ValueError("scores must not be NaN")
 
 
 def _require_both_classes(p: PredictionSet) -> None:
@@ -53,23 +55,18 @@ def best_f_threshold(p: PredictionSet) -> tuple[float, float]:
     _require_both_classes(p)
     distinct = np.unique(p.scores)
     candidates = np.concatenate([[-np.inf], (distinct[:-1] + distinct[1:]) / 2.0, [np.inf]])
-    best_thr = -np.inf
-    best_f = -1.0
-    n_pos = int(np.sum(p.labels > 0))
-    for thr in candidates:
-        predicted = p.scores >= thr
-        tp = int(np.sum(predicted & (p.labels > 0)))
-        n_pred = int(predicted.sum())
-        if tp == 0 or n_pred == 0:
-            f1 = 0.0
-        else:
-            precision = tp / n_pred
-            recall = tp / n_pos
-            f1 = 2.0 * precision * recall / (precision + recall)
-        if f1 > best_f:
-            best_f = f1
-            best_thr = float(thr)
-    return best_thr, best_f
+    # counts of scores >= each candidate, all and positive, from sorted scores
+    n_pred = len(p.scores) - np.searchsorted(np.sort(p.scores), candidates)
+    positives = np.sort(p.scores[p.labels > 0])
+    n_pos = len(positives)
+    tp = n_pos - np.searchsorted(positives, candidates)
+    f1 = np.zeros(len(candidates))
+    hit = tp > 0
+    precision = tp[hit] / n_pred[hit]
+    recall = tp[hit] / n_pos
+    f1[hit] = 2.0 * precision * recall / (precision + recall)
+    best = int(np.argmax(f1))
+    return float(candidates[best]), float(f1[best])
 
 
 def selected_count(theta: np.ndarray, tol: float = 1e-6) -> tuple[int, float]:

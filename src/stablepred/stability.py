@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -74,7 +73,7 @@ class SubsetFamily:
 
 
 def _descending_order(values: np.ndarray) -> np.ndarray:
-    # stable sort of -values: descending, ties by ascending index
+    # stable sort of -values along the last axis: descending, ties by ascending index
     return np.argsort(-values, kind="stable")
 
 
@@ -136,11 +135,8 @@ def top_k_subsets(e: BootstrapEnsemble, raw_std: np.ndarray, k: int) -> SubsetFa
         raise ValueError(f"k must satisfy 1 <= k < {e.n_features}")
     if raw_std.shape != (e.n_features,):
         raise ValueError("raw_std length must match the ensemble's feature count")
-    subsets = []
-    for row in e.weights:
-        order = _descending_order(np.abs(row) * raw_std)
-        subsets.append(frozenset(int(i) for i in order[:k]))
-    return SubsetFamily(k=k, subsets=tuple(subsets))
+    top = _descending_order(np.abs(e.weights) * raw_std)[:, :k]
+    return SubsetFamily(k=k, subsets=tuple(frozenset(row) for row in top.tolist()))
 
 
 def consistency_index(s_i: frozenset, s_j: frozenset, d: int) -> float:
@@ -161,11 +157,23 @@ def consistency_index(s_i: frozenset, s_j: frozenset, d: int) -> float:
 
 
 def mean_consistency(f: SubsetFamily, d: int) -> float:
-    """Average consistency index over all unordered pairs of subsets."""
-    if len(f.subsets) < 2:
+    """Average consistency index over all unordered pairs of subsets.
+
+    Bit-identical to averaging ``consistency_index`` over ``combinations``:
+    overlaps from 0/1 indicator products are exact in float64.
+    """
+    b, k = len(f.subsets), f.k
+    if b < 2:
         raise ValueError("at least 2 subsets are required")
-    values = [consistency_index(a, b, d) for a, b in combinations(f.subsets, 2)]
-    return float(np.mean(values))
+    if k == 0 or k >= d:
+        raise ValueError(f"subset size must satisfy 0 < k < d, got k={k}, d={d}")
+    members = np.fromiter((i for s in f.subsets for i in s), dtype=np.int64, count=b * k)
+    if members.min() < 0 or members.max() >= d:
+        raise ValueError(f"subset elements must lie in [0, {d})")
+    indicator = np.zeros((b, d))
+    indicator[np.repeat(np.arange(b), k), members] = 1.0
+    r = (indicator @ indicator.T)[np.triu_indices(b, 1)]
+    return float(np.mean((r * d - k * k) / (k * (d - k))))
 
 
 def snr(e: BootstrapEnsemble) -> np.ndarray:

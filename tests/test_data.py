@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stablepred.data import (
@@ -78,6 +78,79 @@ class TestLoadDataset:
         with pytest.warns(UserWarning, match="2 label value"):
             d = load_dataset(p, label_column="label")
         np.testing.assert_array_equal(d.y, [-1.0, 1.0, -1.0])
+
+    def test_ragged_row_rejected(self, tmp_path):
+        p = write_csv(tmp_path / "d.csv", "f1,f2,label\n1,2,1\n3,-1\n")
+        with pytest.raises(ValueError, match="row 3 has 2 fields, expected 3"):
+            load_dataset(p, label_column="label")
+        p = write_csv(tmp_path / "w.csv", "f1,f2\n1,2,3\n4,5,6\n")
+        with pytest.raises(ValueError, match="row 2 has 3 fields, expected 2"):
+            load_dataset(p)
+
+    @pytest.mark.parametrize(
+        "text,row",
+        [("f1,f2\n1,2\n\n3,4\n", 3), ("f1,f2\r\n1,2\r\n3,4\r\n\r\n", 4), ("f1,f2\n\n", 2)],
+    )
+    def test_blank_line_rejected(self, tmp_path, text, row):
+        p = write_csv(tmp_path / "d.csv", text)
+        with pytest.raises(ValueError, match=f"row {row} has 0 fields, expected 2"):
+            load_dataset(p)
+
+    def test_header_only_file_has_no_data_rows(self, tmp_path):
+        p = write_csv(tmp_path / "d.csv", "f1,f2\n")
+        with pytest.raises(ValueError, match="no data rows"):
+            load_dataset(p)
+
+    def test_quoted_and_padded_numeric_cells(self, tmp_path):
+        p = write_csv(tmp_path / "d.csv", 'f1,f2,label\n"1.5", 2e-3 ,"-1"\n-.5,+7,1\n')
+        d = load_dataset(p, label_column="label")
+        np.testing.assert_array_equal(d.X, [[1.5, 2e-3], [-0.5, 7.0]])
+        np.testing.assert_array_equal(d.y, [-1.0, 1.0])
+
+    @pytest.mark.parametrize("cell", ["1_000", "\uff11", "0x10", "1,5", "", "1.5.2"])
+    def test_cells_outside_ascii_float_syntax_rejected(self, tmp_path, cell):
+        # float() accepts "1_000" and the full-width digit one; the loader does
+        # not, and names the cell instead of reading a number from it
+        p = write_csv(tmp_path / "d.csv", f'f1,f2\n1,2\n3,"{cell}"\n')
+        with pytest.raises(ValueError, match=f"non-numeric value {cell!r} at row 3, column 'f2'"):
+            load_dataset(p)
+
+    def test_first_fault_in_row_order_named(self, tmp_path):
+        # a non-finite cell is reported only once every row parses, as before
+        p = write_csv(tmp_path / "d.csv", "f1,f2\nnan,1\n2,x\n")
+        with pytest.raises(ValueError, match="non-numeric value 'x' at row 3, column 'f2'"):
+            load_dataset(p)
+        p = write_csv(tmp_path / "e.csv", "f1,f2\n1,inf\nnan,1\n")
+        with pytest.raises(ValueError, match="non-finite value 'inf' at row 2, column 'f2'"):
+            load_dataset(p)
+
+    @given(st.text(alphabet="0123456789.eE+-_ inaf\uff11", max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_every_rejected_cell_is_located(self, tmp_path_factory, cell):
+        p = write_csv(tmp_path_factory.mktemp("cell") / "d.csv", f"f1,f2\n0,{cell}\n")
+        try:
+            d = load_dataset(p)
+        except ValueError as e:
+            assert "row 2" in str(e)
+        else:
+            assert d.X[0, 1] == float(cell)
+
+    @given(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+            min_size=1, max_size=12,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    @example([-0.0, 5e-324, 2.2250738585072009e-308, 0.1 + 0.2, -1.7976931348623157e308])
+    # column statistics of values near the float maximum overflow; X does not
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_roundtrip_is_bit_exact(self, tmp_path_factory, values):
+        X = np.array(values).reshape(-1, 1) * np.array([1.0, -1.0])
+        d = make_dataset(X, y=np.where(np.arange(len(X)) % 2, 1.0, -1.0))
+        path = tmp_path_factory.mktemp("roundtrip") / "d.csv"
+        write_dataset_csv(d, path)
+        assert load_dataset(path, label_column="label").X.tobytes() == X.tobytes()
 
     def test_roundtrip_through_csv(self, tmp_path):
         d = make_dataset(np.array([[0.25, -1.5], [3.125, 2.0]]), y=[1, -1], feature_names=["a", "b"])

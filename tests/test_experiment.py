@@ -1,13 +1,14 @@
 """Experiment orchestration: config validation, determinism, report emission."""
 
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stablepred.data import write_dataset_csv, write_feature_graph
+from stablepred.data import make_dataset, write_dataset_csv, write_feature_graph
 from stablepred.experiment import (
     ExperimentConfig,
     StabilityReport,
@@ -243,3 +244,44 @@ class TestCompareModels:
         )
         with pytest.raises(ValueError, match="seed"):
             compare_models([a, b])
+
+
+# SHA-256 of report.json for TestReportPin's config, recorded before the loader
+# and the reductions moved to numpy kernels (numpy 2.4, OpenBLAS 0.3.31,
+# x86-64).  It covers load, alignment, fits, reductions and JSON; a change meant
+# to keep every number must keep it.
+PINNED_REPORT_SHA256 = "ecceaa7d3cb3f29d975f0b902a8aa84bb6e15f1ef168818bb213c9486f4310f3"
+
+
+class TestReportPin:
+    def test_report_json_matches_pinned_bytes(self, tmp_path):
+        # Each cohort lacks a different column and the augment cohort has an
+        # extra one, so alignment is three-way and some graph edges drop.
+        spec = dataclasses.replace(SPEC, n_samples=40, seed=23)
+
+        def write(d, keep, path, extra=False):
+            X, names = d.X[:, keep], [d.feature_names[j] for j in keep]
+            if extra:
+                X, names = np.column_stack([X, d.X[:, 0] - d.X[:, 1]]), names + ["extra"]
+            write_dataset_csv(make_dataset(X, y=d.y, feature_names=names), path)
+
+        n = spec.n_groups * spec.group_size
+        write(generate(spec), list(range(n)), tmp_path / "train.csv")
+        write(generate(dataclasses.replace(spec, seed=24)), list(range(1, n)),
+              tmp_path / "validation.csv")
+        write(generate(dataclasses.replace(spec, seed=25), labeled=False),
+              [j for j in range(n) if j != 5], tmp_path / "augment.csv", extra=True)
+        write_feature_graph(make_group_graph(spec), tmp_path / "graph.tsv")
+        cfg = base_config(
+            tmp_path, model="ag-lasso-autoencoder-graph",
+            hyperparams=HyperParams(alpha=0.02, lambda_ae=5.0, lambda_l2=1e-3,
+                                    lambda_fg=0.05, hidden_units=3),
+            graph_path=str(tmp_path / "graph.tsv"),
+            augment_path=str(tmp_path / "augment.csv"),
+            k_list=(3, 6),
+        )
+        report = run_experiment(cfg)
+        assert report.n_features == n - 2 and report.dropped_graph_edges > 0
+        emit_report(report, tmp_path / "out")
+        digest = hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest()
+        assert digest == PINNED_REPORT_SHA256

@@ -42,6 +42,30 @@ def brute_force_best_f(scores, labels):
     return best
 
 
+def loop_best_f_threshold(p):
+    """Reference: the per-candidate loop best_f_threshold used before it was
+    vectorized, kept verbatim so the two can be compared with ==."""
+    distinct = np.unique(p.scores)
+    candidates = np.concatenate([[-np.inf], (distinct[:-1] + distinct[1:]) / 2.0, [np.inf]])
+    best_thr = -np.inf
+    best_f = -1.0
+    n_pos = int(np.sum(p.labels > 0))
+    for thr in candidates:
+        predicted = p.scores >= thr
+        tp = int(np.sum(predicted & (p.labels > 0)))
+        n_pred = int(predicted.sum())
+        if tp == 0 or n_pred == 0:
+            f1 = 0.0
+        else:
+            precision = tp / n_pred
+            recall = tp / n_pos
+            f1 = 2.0 * precision * recall / (precision + recall)
+        if f1 > best_f:
+            best_f = f1
+            best_thr = float(thr)
+    return best_thr, best_f
+
+
 def random_prediction_set(rng, m=None, tie_prone=True):
     m = m or int(rng.integers(4, 200))
     if tie_prone:
@@ -130,6 +154,48 @@ class TestBestFThreshold:
         thr, f1 = best_f_threshold(p)
         oracle_thr, oracle_f1 = brute_force_best_f(p.scores, p.labels)
         assert (thr, f1) == (oracle_thr, oracle_f1)
+
+
+class TestBestFThresholdOracle:
+    @given(
+        st.lists(
+            st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.25, 1.0, 3.0, np.inf]) | st.floats(-5, 5),
+            min_size=2, max_size=60,
+        ),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    # -inf and +inf adjacent among the distinct scores make a NaN midpoint,
+    # which predicts no positives in both versions
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in add:RuntimeWarning")
+    def test_equals_loop(self, scores, seed):
+        # ties, -0.0 and +/-inf scores make midpoints that equal scores or are infinite
+        rng = np.random.default_rng(seed)
+        labels = np.where(rng.random(len(scores)) < 0.5, 1.0, -1.0)
+        labels[:2] = [1.0, -1.0]
+        p = PredictionSet(scores=np.array(scores), labels=rng.permutation(labels))
+        assert best_f_threshold(p) == loop_best_f_threshold(p)
+
+    @pytest.mark.parametrize("m", [2000, 8000])
+    def test_equals_loop_at_evaluate_size(self, m):
+        rng = np.random.default_rng(m)
+        p = random_prediction_set(rng, m=m, tie_prone=False)
+        tied = PredictionSet(scores=np.round(p.scores, 1), labels=p.labels)
+        assert best_f_threshold(p) == loop_best_f_threshold(p)
+        assert best_f_threshold(tied) == loop_best_f_threshold(tied)
+
+    def test_infinite_thresholds_chosen(self):
+        # positives score +inf only: predicting exactly them needs the +inf candidate
+        p = PredictionSet(scores=np.array([np.inf, np.inf, 1.0, 2.0]),
+                          labels=np.array([1.0, 1.0, -1.0, -1.0]))
+        assert best_f_threshold(p) == loop_best_f_threshold(p) == (np.inf, 1.0)
+        q = PredictionSet(scores=np.array([-np.inf, 1.0]), labels=np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="both classes"):
+            best_f_threshold(q)
+
+    def test_nan_scores_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            PredictionSet(scores=np.array([0.5, np.nan]), labels=np.array([1.0, -1.0]))
 
 
 class TestSelectedCount:

@@ -1,5 +1,7 @@
 """Consistency index, SNR, rankings, and the bootstrap loop."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +149,47 @@ class TestMeanConsistency:
         assert abs(mean_consistency(fam, 100)) < 0.05
 
 
+@st.composite
+def subset_families(draw):
+    d = draw(st.integers(min_value=2, max_value=40))
+    k = draw(st.integers(min_value=1, max_value=d - 1))
+    b = draw(st.integers(min_value=2, max_value=12))
+    perms = draw(st.lists(st.permutations(range(d)), min_size=b, max_size=b))
+    return SubsetFamily(k=k, subsets=tuple(frozenset(perm[:k]) for perm in perms)), d
+
+
+def pairwise_mean_consistency(f, d):
+    """Reference: the mean of consistency_index over all unordered pairs."""
+    return float(np.mean([consistency_index(a, b, d) for a, b in combinations(f.subsets, 2)]))
+
+
+class TestMeanConsistencyOracle:
+    @given(subset_families())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_pairwise_mean(self, case):
+        fam, d = case
+        assert mean_consistency(fam, d) == pairwise_mean_consistency(fam, d)
+
+    @pytest.mark.parametrize("k", [10, 50, 600])
+    def test_equals_pairwise_mean_on_ranked_ensemble(self, k):
+        # overlaps vary widely when bootstraps share a few strong features
+        rng = np.random.default_rng(k)
+        weights = rng.standard_normal((150, 1000)) * np.geomspace(10.0, 0.1, 1000)
+        fam = top_k_subsets(ensemble_from(weights), np.ones(1000), k)
+        assert mean_consistency(fam, 1000) == pairwise_mean_consistency(fam, 1000)
+
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_out_of_range_member_rejected(self, bad):
+        fam = SubsetFamily(k=2, subsets=(frozenset({0, 1}), frozenset({1, bad})))
+        with pytest.raises(ValueError, match="must lie in"):
+            mean_consistency(fam, 5)
+
+    def test_degenerate_k_rejected(self):
+        fam = SubsetFamily(k=3, subsets=(frozenset({0, 1, 2}),) * 2)
+        with pytest.raises(ValueError, match="0 < k < d"):
+            mean_consistency(fam, 3)
+
+
 class TestFeatureImportance:
     def test_all_zero_weights(self):
         e = ensemble_from(np.zeros((3, 4)))
@@ -202,6 +245,26 @@ class TestTopKSubsets:
         fam = top_k_subsets(e, raw_std, 5)
         order = feature_importance(e, raw_std).order
         assert fam.subsets[0] == frozenset(order[:5].tolist())
+
+
+@given(
+    st.integers(min_value=2, max_value=9),
+    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_top_k_matches_per_row_ranking(b, n, seed):
+    # few distinct magnitudes, so ties are common and must break by index
+    rng = np.random.default_rng(seed)
+    weights = rng.integers(-3, 4, size=(b, n)).astype(float)
+    raw_std = rng.integers(0, 3, size=n).astype(float)
+    k = int(rng.integers(1, n))
+    fam = top_k_subsets(ensemble_from(weights), raw_std, k)
+    expected = tuple(
+        frozenset(int(i) for i in np.argsort(-(np.abs(row) * raw_std), kind="stable")[:k])
+        for row in weights
+    )
+    assert fam.subsets == expected
 
 
 class TestSnr:
