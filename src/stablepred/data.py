@@ -198,17 +198,15 @@ def _locate_bad_cell(path: Path, header: list[str]) -> str | None:
 
 def write_dataset_csv(d: Dataset, path, label_column: str = DEFAULT_LABEL_COLUMN) -> None:
     """Write a cohort as a headered CSV, with labels as +1/-1 when present."""
-    path = Path(path)
+    X = np.asarray(d.X, dtype=float)  # integer cells would print as "1", not "1.0"
+    sep = "," if X.shape[1] else ""
+    labels = [f"{sep}{int(v)}\r\n" for v in d.y] if d.labeled else ["\r\n"] * len(X)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if d.labeled:
-            writer.writerow(list(d.feature_names) + [label_column])
-            for row, label in zip(d.X, d.y):
-                writer.writerow([repr(float(v)) for v in row] + [str(int(label))])
-        else:
-            writer.writerow(list(d.feature_names))
-            for row in d.X:
-                writer.writerow([repr(float(v)) for v in row])
+        csv.writer(fh).writerow(list(d.feature_names) + ([label_column] if d.labeled else []))
+        # cells are the repr of a float, as csv.writer wrote them; no such repr
+        # holds a comma, a quote or a line break, so none needs quoting
+        for row, end in zip(X, labels):
+            fh.write(",".join(map(repr, row.tolist())) + end)
 
 
 def standardize(d: Dataset) -> Dataset:

@@ -290,43 +290,34 @@ def run_experiment(cfg: ExperimentConfig) -> StabilityReport:
     )
 
 
+def _write_csv(path: Path, header: list[str], rows) -> Path:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
 def emit_report(report: StabilityReport, out_dir) -> list[Path]:
     """Write report.json plus plot-ready CSVs; returns the written paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
 
     json_path = out / "report.json"
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    written.append(json_path)
 
-    ci_path = out / "ci_curve.csv"
-    with open(ci_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "mean_ci"])
-        for k, v in report.ci_curve:
-            writer.writerow([k, repr(float(v))])
-    written.append(ci_path)
-
-    snr_path = out / "snr_top.csv"
-    with open(snr_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "feature_name", "snr"])
-        for rank, name, value in report.snr_top:
-            writer.writerow([rank, name, repr(float(value))])
-    written.append(snr_path)
-
-    weights_path = out / "weights_mean.csv"
-    with open(weights_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature_name", "mean_weight", "importance"])
-        for name, w, imp in zip(report.feature_names, report.mean_weights, report.importance):
-            writer.writerow([name, repr(float(w)), repr(float(imp))])
-    written.append(weights_path)
-
-    return written
+    return [
+        json_path,
+        _write_csv(out / "ci_curve.csv", ["k", "mean_ci"],
+                   ([k, repr(float(v))] for k, v in report.ci_curve)),
+        _write_csv(out / "snr_top.csv", ["rank", "feature_name", "snr"],
+                   ([rank, name, repr(float(v))] for rank, name, v in report.snr_top)),
+        _write_csv(out / "weights_mean.csv", ["feature_name", "mean_weight", "importance"],
+                   ([name, repr(float(w)), repr(float(imp))] for name, w, imp
+                    in zip(report.feature_names, report.mean_weights, report.importance))),
+    ]
 
 
 _SHARED_FIELDS = ("train_path", "validation_path", "n_bootstraps", "k_list")
@@ -361,17 +352,11 @@ def compare_models(
         header = ["model"]
         header += [f"ci_k{k}" for k in first.k_list]
         header += ["auc", "selected_fraction", "snr_above_count"]
-        with open(out / "comparison.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for r in reports:
-                row = [r.model]
-                row += [repr(float(r.mean_ci_at(k))) for k in first.k_list]
-                row += [
-                    repr(float(r.validation_auc)),
-                    repr(float(r.selected_fraction)),
-                    r.snr_above_count,
-                ]
-                writer.writerow(row)
+        _write_csv(out / "comparison.csv", header, (
+            [r.model]
+            + [repr(float(r.mean_ci_at(k))) for k in first.k_list]
+            + [repr(float(r.validation_auc)), repr(float(r.selected_fraction)), r.snr_above_count]
+            for r in reports
+        ))
 
     return reports

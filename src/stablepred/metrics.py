@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 __all__ = ["PredictionSet", "auc", "best_f_threshold", "selected_count"]
 
@@ -41,7 +40,14 @@ def auc(p: PredictionSet) -> float:
     pos = p.labels > 0
     n_pos = int(pos.sum())
     n_neg = len(p.labels) - n_pos
-    ranks = rankdata(p.scores)
+    # midranks: 1-based ranks, tied scores sharing their mean rank; they are
+    # half-integers, so they and their sums are exact in float64
+    order = np.argsort(p.scores, kind="stable")
+    s = p.scores[order]
+    starts = np.flatnonzero(np.concatenate([[True], s[1:] != s[:-1]]))
+    ends = np.append(starts[1:], len(s))
+    ranks = np.empty(len(s))
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
@@ -54,6 +60,10 @@ def best_f_threshold(p: PredictionSet) -> tuple[float, float]:
     """
     _require_both_classes(p)
     distinct = np.unique(p.scores)
+    # -inf and +inf are adjacent only as the sole distinct scores, and have no
+    # midpoint: (-inf + inf) / 2 is NaN
+    if np.array_equal(distinct, [-np.inf, np.inf]):
+        distinct = distinct[:1]
     candidates = np.concatenate([[-np.inf], (distinct[:-1] + distinct[1:]) / 2.0, [np.inf]])
     # counts of scores >= each candidate, all and positive, from sorted scores
     n_pred = len(p.scores) - np.searchsorted(np.sort(p.scores), candidates)

@@ -1,5 +1,7 @@
 """Dataset loading, standardization, alignment, and Laplacian construction."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,11 +20,95 @@ from stablepred.data import (
     write_dataset_csv,
     write_feature_graph,
 )
+from stablepred.synthetic import SyntheticSpec, generate
 
 
 def write_csv(path, text):
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def csv_writer_dataset(d, path, label_column="label"):
+    """Reference: the csv.writer loop write_dataset_csv used before it streamed
+    joined rows, kept verbatim so the two can be compared byte for byte."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        if d.labeled:
+            writer.writerow(list(d.feature_names) + [label_column])
+            for row, label in zip(d.X, d.y):
+                writer.writerow([repr(float(v)) for v in row] + [str(int(label))])
+        else:
+            writer.writerow(list(d.feature_names))
+            for row in d.X:
+                writer.writerow([repr(float(v)) for v in row])
+
+
+# -0.0, subnormals, the smallest normal, and both sides of the magnitudes
+# where repr switches between positional and exponent notation (1e16, 1e-4)
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -2.2250738585072004e-308, 2.2250738585072014e-308,
+               9999999999999998.0, 1e16, -1.0000000000000002e16, 1e-4, 9.999999999999999e-05,
+               1e-05, 0.1 + 0.2, 1.7976931348623157e308, np.inf, -np.inf, np.nan]
+# names csv must quote: delimiter, quote char, line breaks; and ones it must not
+QUOTED_NAMES = ["a,b", 'say "hi"', "two\nlines", "cr\rlf", " padded ", "plain", "", "é"]
+
+
+def written_bytes(writer, d, path, **kwargs):
+    writer(d, path, **kwargs)
+    return path.read_bytes()
+
+
+class TestWriteDatasetCsv:
+    @given(
+        st.integers(min_value=1, max_value=8).flatmap(lambda n: st.tuples(
+            st.lists(st.text(max_size=6), min_size=n, max_size=n, unique=True)
+            | st.permutations(QUOTED_NAMES).map(lambda names: names[:n]),
+            st.lists(
+                st.lists(st.sampled_from(EDGE_VALUES) | st.floats(allow_subnormal=True),
+                         min_size=n, max_size=n),
+                min_size=1, max_size=6,
+            ),
+            st.booleans(),
+        ))
+    )
+    @settings(max_examples=150, deadline=None)
+    # column statistics of NaN, infinite and near-maximal values warn; X is kept as given
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_bytes_equal_csv_writer(self, tmp_path_factory, case):
+        names, rows, labeled = case
+        X = np.array(rows)
+        y = np.where(np.arange(len(X)) % 2, 1.0, -1.0) if labeled else None
+        d = make_dataset(X, y=y, feature_names=names)
+        tmp = tmp_path_factory.mktemp("write")
+        assert (written_bytes(write_dataset_csv, d, tmp / "new.csv")
+                == written_bytes(csv_writer_dataset, d, tmp / "old.csv"))
+
+    @pytest.mark.parametrize("labeled", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+    def test_non_float64_cells_written_as_floats(self, tmp_path, labeled, dtype):
+        X = np.array([[1, -2, 3], [40, 0, -6]], dtype=dtype)
+        d = Dataset(feature_names=("a", "b", "c"), X=X,
+                    y=np.array([1.0, -1.0]) if labeled else None,
+                    raw_mean=np.zeros(3), raw_std=np.ones(3))
+        assert (written_bytes(write_dataset_csv, d, tmp_path / "new.csv", label_column="y")
+                == written_bytes(csv_writer_dataset, d, tmp_path / "old.csv", label_column="y"))
+        assert b"40.0,0.0,-6.0" in (tmp_path / "new.csv").read_bytes()
+
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_no_feature_columns(self, tmp_path, labeled):
+        d = make_dataset(np.zeros((2, 0)), y=[1.0, -1.0] if labeled else None)
+        assert (written_bytes(write_dataset_csv, d, tmp_path / "new.csv")
+                == written_bytes(csv_writer_dataset, d, tmp_path / "old.csv"))
+
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_synthetic_cohort(self, tmp_path, labeled):
+        spec = SyntheticSpec(n_samples=300, n_groups=10, group_size=20,
+                             within_group_noise=0.3, n_informative_groups=3,
+                             true_weight_scale=1.0, label_noise=0.05, seed=3)
+        d = generate(spec)
+        if not labeled:
+            d = make_dataset(d.X, feature_names=d.feature_names)
+        assert (written_bytes(write_dataset_csv, d, tmp_path / "new.csv")
+                == written_bytes(csv_writer_dataset, d, tmp_path / "old.csv"))
 
 
 class TestLoadDataset:

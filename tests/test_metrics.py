@@ -1,9 +1,12 @@
 """AUC against the pairwise oracle; F-threshold against brute force; sparsity counts."""
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from stablepred.metrics import PredictionSet, auc, best_f_threshold, selected_count
 
@@ -20,6 +23,19 @@ def pairwise_auc(scores, labels):
             elif sp == sn:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def rankdata_auc(p):
+    """Reference: the midrank formula auc used with scipy.stats.rankdata before
+    it ranked in numpy, kept verbatim so the two can be compared with ==."""
+    pos = p.labels > 0
+    n_pos = int(pos.sum())
+    n_neg = len(p.labels) - n_pos
+    ranks = rankdata(p.scores)
+    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+SPECIAL_SCORES = [-np.inf, -1.0, -0.0, 0.0, 0.25, 1.0, 3.0, np.inf]
 
 
 def brute_force_best_f(scores, labels):
@@ -116,6 +132,39 @@ class TestAuc:
         assert auc(p) + auc(q) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestAucOracle:
+    @given(
+        st.lists(st.sampled_from(SPECIAL_SCORES) | st.floats(-5, 5), min_size=2, max_size=60),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example([0.0, -0.0, 0.0, -0.0], 0)
+    @example([-np.inf, np.inf], 1)
+    def test_equals_rankdata(self, scores, seed):
+        # ties, -0.0 against 0.0 (equal, so tied) and +/-inf scores
+        rng = np.random.default_rng(seed)
+        labels = np.where(rng.random(len(scores)) < 0.5, 1.0, -1.0)
+        labels[:2] = [1.0, -1.0]
+        p = PredictionSet(scores=np.array(scores), labels=rng.permutation(labels))
+        assert auc(p) == rankdata_auc(p)
+
+    @pytest.mark.parametrize("m", [2, 7, 500])
+    def test_single_positive(self, m):
+        rng = np.random.default_rng(m)
+        scores = np.round(rng.standard_normal(m), 1)
+        labels = -np.ones(m)
+        labels[m // 2] = 1.0
+        p = PredictionSet(scores=scores, labels=labels)
+        assert auc(p) == rankdata_auc(p)
+
+    def test_equals_rankdata_at_evaluate_size(self):
+        rng = np.random.default_rng(8000)
+        p = random_prediction_set(rng, m=8000, tie_prone=False)
+        tied = PredictionSet(scores=np.round(p.scores, 1), labels=p.labels)
+        assert auc(p) == rankdata_auc(p)
+        assert auc(tied) == rankdata_auc(tied)
+
+
 class TestBestFThreshold:
     def test_perfect_separation_gives_f1_one(self):
         p = PredictionSet(scores=np.array([2.0, 3.0, -1.0, -2.0]),
@@ -159,7 +208,7 @@ class TestBestFThreshold:
 class TestBestFThresholdOracle:
     @given(
         st.lists(
-            st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.25, 1.0, 3.0, np.inf]) | st.floats(-5, 5),
+            st.sampled_from(SPECIAL_SCORES) | st.floats(-5, 5),
             min_size=2, max_size=60,
         ),
         st.integers(min_value=0, max_value=2**32 - 1),
@@ -192,6 +241,19 @@ class TestBestFThresholdOracle:
         q = PredictionSet(scores=np.array([-np.inf, 1.0]), labels=np.array([1.0, 1.0]))
         with pytest.raises(ValueError, match="both classes"):
             best_f_threshold(q)
+
+    @pytest.mark.parametrize("scores", [
+        [-np.inf, np.inf, -np.inf, np.inf],
+        [-np.inf, np.inf, -2.0, 0.5, 0.5, np.inf],
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_no_nan_midpoint_between_infinities(self, scores):
+        # adjacent -inf and +inf used to make a (-inf + inf) / 2 = NaN candidate
+        p = PredictionSet(scores=np.array(scores), labels=np.resize([1.0, -1.0], len(scores)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the loop makes the NaN midpoint
+            expected = loop_best_f_threshold(p)
+        assert best_f_threshold(p) == expected
 
     def test_nan_scores_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
