@@ -27,14 +27,7 @@ from .data import (
     standardize_like,
 )
 from .metrics import PredictionSet, auc, best_f_threshold, selected_count
-from .models import (
-    AUGMENTED_MODELS,
-    GRAPH_MODELS,
-    MODEL_NAMES,
-    ModelSpec,
-    fit_model,
-    validate_hyperparams,
-)
+from .models import ModelSpec, check_model_inputs, fit_model, validate_hyperparams
 from .objectives import HyperParams
 from .optimizer import OptimizerConfig
 from .stability import (
@@ -83,14 +76,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         validate_hyperparams(self.model, self.hyperparams)
-        if self.model in GRAPH_MODELS and self.graph_path is None:
-            raise ValueError(f"model {self.model!r} requires graph_path")
-        if self.model not in GRAPH_MODELS and self.graph_path is not None:
-            raise ValueError(f"model {self.model!r} does not take graph_path")
-        if self.model in AUGMENTED_MODELS and self.augment_path is None:
-            raise ValueError(f"model {self.model!r} requires augment_path")
-        if self.model not in AUGMENTED_MODELS and self.augment_path is not None:
-            raise ValueError(f"model {self.model!r} does not take augment_path")
+        check_model_inputs(
+            self.model, self.graph_path is not None, self.augment_path is not None,
+            fields=("graph_path", "augment_path"),
+        )
         if self.n_bootstraps < 2:
             raise ValueError("n_bootstraps must be >= 2")
         if not self.k_list:

@@ -64,7 +64,14 @@ def best_f_threshold(p: PredictionSet) -> tuple[float, float]:
     # midpoint: (-inf + inf) / 2 is NaN
     if np.array_equal(distinct, [-np.inf, np.inf]):
         distinct = distinct[:1]
-    candidates = np.concatenate([[-np.inf], (distinct[:-1] + distinct[1:]) / 2.0, [np.inf]])
+    lo, hi = distinct[:-1], distinct[1:]
+    with np.errstate(over="ignore"):
+        mid = (lo + hi) / 2.0
+    # a sum past the float maximum overflows; halving first cannot, and is
+    # used only there, so every finite midpoint keeps its bits
+    over = np.isinf(mid) & np.isfinite(lo) & np.isfinite(hi)
+    mid[over] = lo[over] / 2.0 + hi[over] / 2.0
+    candidates = np.concatenate([[-np.inf], mid, [np.inf]])
     # counts of scores >= each candidate, all and positive, from sorted scores
     n_pred = len(p.scores) - np.searchsorted(np.sort(p.scores), candidates)
     positives = np.sort(p.scores[p.labels > 0])

@@ -19,6 +19,7 @@ __all__ = [
     "ModelSpec",
     "ModelFit",
     "validate_hyperparams",
+    "check_model_inputs",
     "fit_model",
 ]
 
@@ -59,6 +60,19 @@ def validate_hyperparams(model: str, h: HyperParams) -> None:
         raise ValueError(f"lambda_l2={h.lambda_l2} is inapplicable to model {model!r}")
 
 
+def check_model_inputs(
+    model: str, has_graph: bool, has_augment: bool, fields: tuple[str, str] = ("", "")
+) -> None:
+    """Reject a feature graph or augment cohort that ``model`` needs and lacks,
+    or has and does not take; ``fields`` names their config fields in the message."""
+    rules = ((has_graph, GRAPH_MODELS, "a feature-graph Laplacian", "a Laplacian"),
+             (has_augment, AUGMENTED_MODELS, "an augment cohort", "an augment cohort"))
+    for (given, needing, required, rejected), field in zip(rules, fields):
+        if given != (model in needing):
+            what = f"does not take {rejected}" if given else f"requires {required}"
+            raise ValueError(f"model {model!r} {what}" + (f" ({field})" if field else ""))
+
+
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
     """A model name plus the structures it needs (Laplacian, augment rows)."""
@@ -70,14 +84,7 @@ class ModelSpec:
     def __post_init__(self):
         if self.name not in MODEL_NAMES:
             raise ValueError(f"unknown model {self.name!r}")
-        if self.name in GRAPH_MODELS and self.laplacian is None:
-            raise ValueError(f"model {self.name!r} requires a feature-graph Laplacian")
-        if self.name not in GRAPH_MODELS and self.laplacian is not None:
-            raise ValueError(f"model {self.name!r} does not take a Laplacian")
-        if self.name in AUGMENTED_MODELS and self.augment is None:
-            raise ValueError(f"model {self.name!r} requires an augment cohort")
-        if self.name not in AUGMENTED_MODELS and self.augment is not None:
-            raise ValueError(f"model {self.name!r} does not take an augment cohort")
+        check_model_inputs(self.name, self.laplacian is not None, self.augment is not None)
 
 
 @dataclass(eq=False)

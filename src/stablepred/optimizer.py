@@ -30,6 +30,11 @@ class NumericalDivergenceError(RuntimeError):
         super().__init__(message)
         self.iteration = iteration
 
+    def __reduce__(self):
+        # the default rebuilds from ``args`` alone, which lack ``iteration``;
+        # worker processes send their errors to the parent pickled
+        return type(self), (str(self), self.iteration)
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,19 +90,19 @@ def run_bootstraps(
 
     Bootstrap b resamples the M rows with seed ``base_seed + b`` and uses the
     same seed for parameter initialization, so any single bootstrap can be
-    reproduced in isolation.  Aborts if any fit diverges.
+    reproduced in isolation.  The fits run in parallel worker processes where
+    the platform allows, with the same results.  Aborts if any fit diverges,
+    reporting the lowest diverging bootstrap.
     """
     if not d.labeled:
         raise ValueError("bootstrap training requires a labeled dataset")
     if n_bootstraps < 2:
         raise ValueError("at least 2 bootstraps are required for stability statistics")
     m = d.n_samples
-    weights = np.empty((n_bootstraps, d.n_features))
-    seeds = []
-    for b in range(n_bootstraps):
+
+    def fit(b: int) -> np.ndarray:
         seed = base_seed + b
-        rng = np.random.default_rng(seed)
-        idx = rng.integers(0, m, size=m)
+        idx = np.random.default_rng(seed).integers(0, m, size=m)
         resampled = Dataset(
             feature_names=d.feature_names,
             X=d.X[idx],
@@ -111,14 +112,89 @@ def run_bootstraps(
             standardized=d.standardized,
         )
         try:
-            fit = fit_model(model_spec, resampled, h, cfg, init_seed=seed)
+            return fit_model(model_spec, resampled, h, cfg, init_seed=seed).effective_theta
         except NumericalDivergenceError as e:
-            raise NumericalDivergenceError(
-                f"bootstrap {b}: {e}", e.iteration
-            ) from e
-        weights[b] = fit.effective_theta
-        seeds.append(seed)
-    return BootstrapEnsemble(weights=weights, seeds=tuple(seeds), model_tag=model_spec.name)
+            raise NumericalDivergenceError(f"bootstrap {b}: {e}", e.iteration) from e
+
+    return BootstrapEnsemble(
+        weights=np.stack(_map_in_order(fit, n_bootstraps)),
+        seeds=tuple(base_seed + b for b in range(n_bootstraps)),
+        model_tag=model_spec.name,
+    )
+
+
+def _worker_count(n_jobs: int) -> int:
+    """One pool worker per CPU this process may run on, at most one per job."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(n_jobs, len(os.sched_getaffinity(0)))
+
+
+def _worker_blas_setter():
+    """``openblas_set_num_threads`` of numpy's bundled OpenBLAS, or None where
+    this process cannot run a fork pool: no ``fork``, a daemonic process (it may
+    not start processes), or a BLAS whose threads it cannot bound (MKL,
+    Accelerate, a system OpenBLAS)."""
+    import ctypes
+    import glob
+    import multiprocessing
+
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return None
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                     "openblas_set_num_threads"):
+            if hasattr(lib, name):
+                setter = getattr(lib, name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return setter
+    return None
+
+
+# A pool worker's job, set in each worker by ``_start_worker``, never in the
+# process that owns the pool.
+_worker_job = None
+
+
+def _start_worker(job, set_blas_threads) -> None:
+    # workers that kept OpenBLAS's default thread count would oversubscribe
+    # the CPUs, their threads spinning against each other
+    global _worker_job
+    set_blas_threads(1)
+    _worker_job = job
+
+
+def _run_worker_job(i: int):
+    return _worker_job(i)
+
+
+def _map_in_order(job, n_jobs: int) -> list:
+    """``[job(i) for i in range(n_jobs)]``, in a pool of forked workers when it can.
+
+    Each worker runs OpenBLAS with one thread.  Results come back in job
+    order; a failure raises the error of the lowest failing job, as the serial
+    loop would, and a worker that dies raises ``BrokenProcessPool``.
+    """
+    workers = _worker_count(n_jobs)
+    set_blas_threads = _worker_blas_setter() if workers >= 2 else None
+    if set_blas_threads is None:
+        return [job(i) for i in range(n_jobs)]
+
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, not spawn: workers inherit the job and the imported modules
+    # instead of importing them again
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_worker,
+        initargs=(job, set_blas_threads),
+    ) as pool:
+        return list(pool.map(_run_worker_job, range(n_jobs)))
 
 
 def feature_importance(e: BootstrapEnsemble, raw_std: np.ndarray) -> FeatureRanking:

@@ -255,6 +255,20 @@ class TestBestFThresholdOracle:
             expected = loop_best_f_threshold(p)
         assert best_f_threshold(p) == expected
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_midpoint_of_huge_scores_does_not_overflow(self):
+        # 1e308 + 1.7e308 overflows; the threshold between them separates the classes
+        p = PredictionSet(scores=np.array([1e308, 1.7e308]), labels=np.array([-1.0, 1.0]))
+        thr, f1 = best_f_threshold(p)
+        assert 1e308 < thr < 1.7e308
+        assert f1 == 1.0
+
+    def test_subnormal_midpoint_keeps_its_bits(self):
+        # halving first would round 5e-324 / 2 to 0 and put the midpoint on the
+        # lower score; (a + b) / 2 rounds once, to the upper one
+        p = PredictionSet(scores=np.array([5e-324, 1e-323]), labels=np.array([-1.0, 1.0]))
+        assert best_f_threshold(p) == loop_best_f_threshold(p) == (1e-323, 1.0)
+
     def test_nan_scores_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
             PredictionSet(scores=np.array([0.5, np.nan]), labels=np.array([1.0, -1.0]))

@@ -1,6 +1,8 @@
 """Optimizer determinism, convergence, and seeded initialization."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -102,6 +104,14 @@ class TestMinimize:
         with pytest.raises(NumericalDivergenceError) as exc:
             minimize(bad_loss, lambda x: np.array([1.0]), np.array([0.0]), cfg)
         assert exc.value.iteration == 1
+
+    @pytest.mark.parametrize("clone", [lambda e: pickle.loads(pickle.dumps(e)), copy.copy])
+    def test_divergence_error_survives_pickle_and_copy(self, clone):
+        # worker processes send their errors pickled; a clone must keep the iteration
+        e = clone(NumericalDivergenceError("bootstrap 3: non-finite loss inf at iteration 7", 7))
+        assert type(e) is NumericalDivergenceError
+        assert str(e) == "bootstrap 3: non-finite loss inf at iteration 7"
+        assert e.iteration == 7
 
     def test_non_finite_gradient_reports_consuming_iteration(self):
         # the gradient at x_1 is non-finite; step 2 is the one that uses it

@@ -1,5 +1,11 @@
 """Consistency index, SNR, rankings, and the bootstrap loop."""
 
+import ctypes
+import glob
+import multiprocessing
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 from itertools import combinations
 
 import numpy as np
@@ -7,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablepred.data import make_dataset, standardize
+from stablepred import stability
+from stablepred.data import build_laplacian, make_dataset, standardize
 from stablepred.models import ModelSpec
 from stablepred.objectives import HyperParams
 from stablepred.optimizer import NumericalDivergenceError, OptimizerConfig
@@ -22,7 +29,7 @@ from stablepred.stability import (
     snr_above,
     top_k_subsets,
 )
-from stablepred.synthetic import SyntheticSpec, generate
+from stablepred.synthetic import SyntheticSpec, generate, make_group_graph
 
 
 def ensemble_from(weights, tag="test"):
@@ -376,3 +383,103 @@ class TestRunBootstraps:
             run_bootstraps(d, ModelSpec("lasso"), HyperParams(alpha=0.02), cfg, 2, 0)
         assert str(exc.value).startswith("bootstrap 0: non-finite loss")
         assert exc.value.iteration == 1
+
+
+def blas_threads() -> int:
+    """Thread count of numpy's bundled OpenBLAS, looked up as its setter is."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                getter = getattr(lib, name)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return getter()
+    raise LookupError("no bundled OpenBLAS")
+
+
+needs_pool = pytest.mark.skipif(
+    stability._worker_blas_setter() is None,
+    reason="the bootstrap pool needs fork and numpy's bundled OpenBLAS",
+)
+
+
+def force_workers(monkeypatch, n):
+    monkeypatch.setattr(stability, "_worker_count", lambda n_jobs: min(n_jobs, n))
+
+
+@needs_pool
+class TestBootstrapPool:
+    small_data = TestRunBootstraps.small_data
+    cfg = TestRunBootstraps.cfg
+
+    def test_jobs_run_in_one_thread_workers_in_order(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        out = stability._map_in_order(lambda i: (i, os.getpid(), blas_threads()), 5)
+        assert [i for i, _, _ in out] == list(range(5))
+        assert os.getpid() not in {pid for _, pid, _ in out}
+        assert {threads for _, _, threads in out} == {1}
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("model", ["lasso", "lasso-autoencoder-graph"])
+    def test_pool_and_serial_weights_identical(self, monkeypatch, model):
+        spec = SyntheticSpec(n_samples=40, n_groups=3, group_size=2, seed=3)
+        d = standardize(generate(spec))
+        if model == "lasso":
+            ms, h = ModelSpec(model), HyperParams(alpha=0.02)
+        else:
+            lap = build_laplacian(make_group_graph(spec), d.feature_names)
+            ms = ModelSpec(model, laplacian=lap)
+            h = HyperParams(alpha=0.02, lambda_ae=10.0, lambda_l2=1e-3, lambda_fg=0.05,
+                            hidden_units=3)
+        ensembles = {}
+        for n in (2, 1):
+            force_workers(monkeypatch, n)
+            ensembles[n] = run_bootstraps(d, ms, h, self.cfg(iters=60), 3, base_seed=11)
+            assert multiprocessing.active_children() == []
+        assert ensembles[2].weights.tobytes() == ensembles[1].weights.tobytes()
+        assert ensembles[2].seeds == ensembles[1].seeds == (11, 12, 13)
+
+    def test_divergence_in_a_worker_names_bootstrap_and_iteration(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        cfg = OptimizerConfig(max_iters=10, learning_rate=1e300, seed=0)
+        with np.errstate(all="ignore"), pytest.raises(NumericalDivergenceError) as exc:
+            run_bootstraps(self.small_data(), ModelSpec("lasso"), HyperParams(alpha=0.02), cfg,
+                           3, 0)
+        assert str(exc.value).startswith("bootstrap 0: non-finite loss")
+        assert exc.value.iteration == 1
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_raises(self, monkeypatch):
+        # a worker killed from outside (say, for memory) fails the map, not hangs it
+        force_workers(monkeypatch, 2)
+        parent = os.getpid()
+
+        def job(i):
+            if i == 1 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return i
+
+        with pytest.raises(BrokenProcessPool):
+            stability._map_in_order(job, 3)
+        assert multiprocessing.active_children() == []
+
+    def test_serial_inside_a_daemon_process(self, monkeypatch):
+        # a pool worker may not start processes of its own
+        force_workers(monkeypatch, 2)
+        d, h = self.small_data(), HyperParams(alpha=0.02)
+
+        def child(conn):
+            conn.send(run_bootstraps(d, ModelSpec("lasso"), h, self.cfg(), 2, 7).weights.tobytes())
+
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        proc = ctx.Process(target=child, args=(send,), daemon=True)
+        proc.start()
+        send.close()
+        assert recv.poll(60)
+        got = recv.recv()
+        proc.join(60)
+        assert proc.exitcode == 0
+        assert got == run_bootstraps(d, ModelSpec("lasso"), h, self.cfg(), 2, 7).weights.tobytes()
