@@ -281,7 +281,7 @@ def align_common_features(*cohorts: Dataset) -> tuple[Dataset, ...]:
 
 @dataclass(frozen=True)
 class FeatureGraph:
-    """Weighted undirected edges over feature names; no self-loops."""
+    """Undirected edges over feature names, weights finite and >= 0; no self-loops."""
 
     edges: tuple[tuple[str, str, float], ...]
 
@@ -289,8 +289,8 @@ class FeatureGraph:
         for a, b, w in self.edges:
             if a == b:
                 raise ValueError(f"self-loop on {a!r}")
-            if w < 0:
-                raise ValueError(f"negative edge weight {w} on ({a!r}, {b!r})")
+            if not 0 <= w < np.inf:  # NaN fails both comparisons
+                raise ValueError(f"edge weight {w} on ({a!r}, {b!r}) is negative or non-finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,6 +347,8 @@ def load_feature_graph(path) -> FeatureGraph:
                 w = float(row[2])
             except ValueError:
                 raise ValueError(f"{path}: non-numeric weight {row[2]!r} at row {i + 2}") from None
+            if not 0 <= w < np.inf:
+                raise ValueError(f"{path}: negative or non-finite weight {row[2]!r} at row {i + 2}")
             edges.append((row[0], row[1], w))
     return FeatureGraph(edges=tuple(edges))
 

@@ -31,9 +31,9 @@ from .models import ModelSpec, check_model_inputs, fit_model, validate_hyperpara
 from .objectives import HyperParams
 from .optimizer import OptimizerConfig
 from .stability import (
+    _bootstraps_and_final_fit,
     feature_importance,
     mean_consistency,
-    run_bootstraps,
     snr,
     snr_above,
     top_k_subsets,
@@ -209,7 +209,9 @@ def run_experiment(cfg: ExperimentConfig) -> StabilityReport:
     """Run one configured experiment and return its stability report.
 
     Deterministic: the optimizer seed doubles as the bootstrap base seed,
-    so identical configs produce identical reports.
+    so identical configs produce identical reports.  The final full-data fit
+    runs as the bootstrap pool's last job when the bootstraps' last round
+    leaves a worker idle, else after the pool in this process.
     """
     train, validation, augment = _load_cohorts(cfg)
     if not train.labeled or not validation.labeled:
@@ -229,8 +231,9 @@ def run_experiment(cfg: ExperimentConfig) -> StabilityReport:
 
     spec = ModelSpec(name=cfg.model, laplacian=lap, augment=augment_rows)
     base_seed = cfg.optimizer.seed
-    ensemble = run_bootstraps(
-        train_s, spec, cfg.hyperparams, cfg.optimizer, cfg.n_bootstraps, base_seed
+    ensemble, final = _bootstraps_and_final_fit(
+        lambda: fit_model(spec, train_s, cfg.hyperparams, cfg.optimizer),
+        train_s, spec, cfg.hyperparams, cfg.optimizer, cfg.n_bootstraps, base_seed,
     )
 
     ranking = feature_importance(ensemble, train_s.raw_std)
@@ -245,7 +248,6 @@ def run_experiment(cfg: ExperimentConfig) -> StabilityReport:
     )
     above = snr_above(ensemble, ranking, cfg.top_for_snr, SNR_THRESHOLD)
 
-    final = fit_model(spec, train_s, cfg.hyperparams, cfg.optimizer)
     count, fraction = selected_count(final.effective_theta, cfg.selected_tol)
     scores = validation_s.X @ final.effective_theta + final.bias
     predictions = PredictionSet(scores=scores, labels=validation_s.y)

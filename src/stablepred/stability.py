@@ -94,6 +94,15 @@ def run_bootstraps(
     the platform allows, with the same results.  Aborts if any fit diverges,
     reporting the lowest diverging bootstrap.
     """
+    return _bootstraps_and_final_fit(None, d, model_spec, h, cfg, n_bootstraps, base_seed)[0]
+
+
+def _bootstraps_and_final_fit(final_fit, d, model_spec, h, cfg, n_bootstraps, base_seed):
+    """``(run_bootstraps(...), final_fit())``; ``None`` for the latter if not given.
+
+    ``final_fit`` runs as the pool's last job when that fills a slot idle in
+    the bootstraps' last round, else here after the pool, with every BLAS thread.
+    """
     if not d.labeled:
         raise ValueError("bootstrap training requires a labeled dataset")
     if n_bootstraps < 2:
@@ -116,11 +125,16 @@ def run_bootstraps(
         except NumericalDivergenceError as e:
             raise NumericalDivergenceError(f"bootstrap {b}: {e}", e.iteration) from e
 
-    return BootstrapEnsemble(
-        weights=np.stack(_map_in_order(fit, n_bootstraps)),
+    fold = final_fit is not None and n_bootstraps % _worker_count(n_bootstraps + 1) != 0
+    fits = _map_in_order(lambda b: fit(b) if b < n_bootstraps else final_fit(),
+                         n_bootstraps + fold)
+    final = fits.pop() if fold else final_fit and final_fit()
+    ensemble = BootstrapEnsemble(
+        weights=np.stack(fits),
         seeds=tuple(base_seed + b for b in range(n_bootstraps)),
         model_tag=model_spec.name,
     )
+    return ensemble, final
 
 
 def _worker_count(n_jobs: int) -> int:

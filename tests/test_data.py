@@ -365,6 +365,19 @@ class TestLaplacian:
         g2 = load_feature_graph(tmp_path / "g.tsv")
         assert g2.edges == g.edges
 
+    @pytest.mark.parametrize("w", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_weight_rejected(self, w):
+        with pytest.raises(ValueError, match=r"edge weight .* \('a', 'b'\) is negative or non-finite"):
+            FeatureGraph(edges=(("a", "b", w),))
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity", "-2"])
+    def test_bad_weight_in_tsv_names_row(self, tmp_path, cell):
+        # a NaN weight used to load and surface later as a non-finite loss
+        path = tmp_path / "g.tsv"
+        path.write_text(f"name_a\tname_b\tweight\na\tb\t1.0\nb\tc\t{cell}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"g.tsv: negative or non-finite weight '{cell}' at row 3$"):
+            load_feature_graph(path)
+
 
 @st.composite
 def random_graphs(draw):

@@ -3,11 +3,14 @@
 import dataclasses
 import hashlib
 import json
+import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from stablepred import experiment, stability
 from stablepred.data import make_dataset, write_dataset_csv, write_feature_graph
 from stablepred.experiment import (
     ExperimentConfig,
@@ -18,7 +21,7 @@ from stablepred.experiment import (
 )
 from stablepred.models import AUGMENTED_MODELS, AUTOENCODER_MODELS, GRAPH_MODELS, MODEL_NAMES
 from stablepred.objectives import HyperParams
-from stablepred.optimizer import OptimizerConfig
+from stablepred.optimizer import NumericalDivergenceError, OptimizerConfig
 from stablepred.synthetic import SyntheticSpec, generate, make_group_graph
 
 SPEC = SyntheticSpec(
@@ -285,3 +288,75 @@ class TestReportPin:
         emit_report(report, tmp_path / "out")
         digest = hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest()
         assert digest == PINNED_REPORT_SHA256
+
+
+def force_workers(monkeypatch, n):
+    monkeypatch.setattr(stability, "_worker_count", lambda n_jobs: min(n_jobs, n))
+
+
+# SHA-256 of report.json for B = 3, recorded with the final fit run after the
+# bootstrap pool in the parent process; folding it into the pool must keep it.
+FOLDED_REPORT_SHA256 = "fd69a1da59645cc06346b5c66f926ee383a57dab667679926e5c027fa5c74d1b"
+
+
+class TestFinalFitInPool:
+    """With B bootstraps on W workers the final full-data fit runs as the
+    pool's last job when B % W != 0, else in the parent after the pool."""
+
+    @pytest.mark.parametrize("workers", [2, 1])
+    def test_report_bytes_pool_or_serial(self, cohort_dir, tmp_path, monkeypatch, workers):
+        force_workers(monkeypatch, workers)
+        cfg = base_config(
+            cohort_dir, model="lasso-autoencoder-graph", n_bootstraps=3,
+            hyperparams=HyperParams(alpha=0.02, lambda_ae=5.0, lambda_l2=1e-3,
+                                    lambda_fg=0.05, hidden_units=3),
+            graph_path=str(cohort_dir / "graph.tsv"),
+        )
+        emit_report(run_experiment(cfg), tmp_path)
+        digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+        assert digest == FOLDED_REPORT_SHA256
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(stability._worker_blas_setter() is None,
+                        reason="the bootstrap pool needs fork and numpy's bundled OpenBLAS")
+    @pytest.mark.parametrize("n_bootstraps, workers, in_worker", [
+        (3, 2, True), (2, 4, True), (2, 2, False), (4, 2, False),
+    ])
+    def test_placement(self, cohort_dir, tmp_path, monkeypatch, n_bootstraps, workers, in_worker):
+        force_workers(monkeypatch, workers)
+        pids, fit_model = tmp_path / "pids", experiment.fit_model
+
+        def recording_fit(*args, **kwargs):
+            # bootstraps call stability's own fit_model, so only the final fit lands here
+            with open(pids, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return fit_model(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "fit_model", recording_fit)
+        run_experiment(base_config(cohort_dir, n_bootstraps=n_bootstraps))
+        (pid,) = map(int, pids.read_text(encoding="utf-8").split())
+        assert (pid != os.getpid()) == in_worker
+        assert multiprocessing.active_children() == []
+
+    def test_all_fits_diverge_reports_lowest_bootstrap(self, cohort_dir, monkeypatch):
+        force_workers(monkeypatch, 2)
+        cfg = base_config(cohort_dir, n_bootstraps=3,
+                          optimizer=OptimizerConfig(max_iters=10, learning_rate=1e300, seed=0))
+        with np.errstate(all="ignore"), pytest.raises(NumericalDivergenceError) as exc:
+            run_experiment(cfg)
+        assert str(exc.value).startswith("bootstrap 0: non-finite loss")
+        assert exc.value.iteration == 1
+        assert multiprocessing.active_children() == []
+
+    def test_final_fit_divergence_has_no_bootstrap_prefix(self, cohort_dir, monkeypatch):
+        force_workers(monkeypatch, 2)
+
+        def diverging_fit(*args, **kwargs):
+            raise NumericalDivergenceError("non-finite loss nan at iteration 7", 7)
+
+        monkeypatch.setattr(experiment, "fit_model", diverging_fit)
+        with pytest.raises(NumericalDivergenceError) as exc:
+            run_experiment(base_config(cohort_dir, n_bootstraps=3))
+        assert str(exc.value) == "non-finite loss nan at iteration 7"
+        assert exc.value.iteration == 7
+        assert multiprocessing.active_children() == []
