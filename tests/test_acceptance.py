@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 pass/fail lines.  The ordering experiment (criteria 6-8) runs five bootstrap
-ensembles on the default synthetic cohort bundle and is shared module-wide.
+ensembles on the default synthetic cohort bundle; ``conftest.py`` runs it once
+per session.
 """
 
 import dataclasses
@@ -10,9 +11,8 @@ import functools
 import time
 
 import numpy as np
-import pytest
 
-from stablepred.data import standardize, write_dataset_csv, write_feature_graph
+from stablepred.data import standardize, write_dataset_csv
 from stablepred.experiment import ExperimentConfig, emit_report, run_experiment
 from stablepred.metrics import auc
 from stablepred.objectives import (
@@ -25,8 +25,9 @@ from stablepred.objectives import (
 )
 from stablepred.optimizer import OptimizerConfig, init_params, minimize
 from stablepred.stability import SubsetFamily, consistency_index, mean_consistency
-from stablepred.synthetic import DEFAULT_SPEC, generate, make_group_graph
+from stablepred.synthetic import DEFAULT_SPEC, generate
 
+from conftest import H_LINEAR, SUBSET_K
 from test_metrics import pairwise_auc, random_prediction_set
 from test_objectives import (
     finite_difference,
@@ -34,20 +35,6 @@ from test_objectives import (
     max_rel_err,
     random_instance,
 )
-
-# frozen settings for the ordering experiment (criteria 6-8)
-EXPERIMENT_SEED = 11
-OPTIMIZER = OptimizerConfig(
-    max_iters=2500, learning_rate=0.02, adaptive=True, rel_tol=1e-7, seed=EXPERIMENT_SEED
-)
-N_BOOTSTRAPS = 50
-SUBSET_K = 20
-TOP_FOR_SNR = 20
-H_LINEAR = HyperParams(alpha=0.01)
-H_LINEAR_GRAPH = HyperParams(alpha=0.01, lambda_fg=0.015)
-H_AE = HyperParams(alpha=0.05, lambda_ae=100.0, lambda_l2=1e-3, hidden_units=10)
-H_AE_GRAPH = HyperParams(alpha=0.05, lambda_ae=100.0, lambda_l2=1e-3, lambda_fg=0.1,
-                         hidden_units=10)
 
 
 def criterion(number, title):
@@ -138,54 +125,6 @@ def test_criterion_5_autoencoder_sanity():
         f"reconstruction {res.final_loss:.4f} vs initial {initial:.4f}"
     )
     assert elapsed < 30.0, f"autoencoder sanity took {elapsed:.1f}s (budget 30s)"
-
-
-@pytest.fixture(scope="module")
-def ordering_experiment(tmp_path_factory):
-    """Five stability reports on the default synthetic bundle, timed."""
-    out = tmp_path_factory.mktemp("cohorts")
-    spec = DEFAULT_SPEC
-    write_dataset_csv(generate(spec), out / "train.csv")
-    write_dataset_csv(
-        generate(dataclasses.replace(spec, seed=spec.seed + 1)), out / "validation.csv"
-    )
-    write_dataset_csv(
-        generate(dataclasses.replace(spec, seed=spec.seed + 2), labeled=False),
-        out / "augment.csv",
-    )
-    write_feature_graph(make_group_graph(spec), out / "graph.tsv")
-
-    shared = dict(
-        train_path=str(out / "train.csv"),
-        validation_path=str(out / "validation.csv"),
-        optimizer=OPTIMIZER,
-        n_bootstraps=N_BOOTSTRAPS,
-        k_list=(SUBSET_K,),
-        top_for_snr=TOP_FOR_SNR,
-    )
-    graph = str(out / "graph.tsv")
-    augment = str(out / "augment.csv")
-    configs = {
-        "lasso": ExperimentConfig(model="lasso", hyperparams=H_LINEAR, **shared),
-        "lasso-graph": ExperimentConfig(
-            model="lasso-graph", hyperparams=H_LINEAR_GRAPH, graph_path=graph, **shared
-        ),
-        "lasso-autoencoder": ExperimentConfig(
-            model="lasso-autoencoder", hyperparams=H_AE, **shared
-        ),
-        "lasso-autoencoder-graph": ExperimentConfig(
-            model="lasso-autoencoder-graph", hyperparams=H_AE_GRAPH, graph_path=graph,
-            **shared,
-        ),
-        "ag-lasso-autoencoder-graph": ExperimentConfig(
-            model="ag-lasso-autoencoder-graph", hyperparams=H_AE_GRAPH, graph_path=graph,
-            augment_path=augment, **shared,
-        ),
-    }
-    start = time.monotonic()
-    reports = {name: run_experiment(cfg) for name, cfg in configs.items()}
-    elapsed = time.monotonic() - start
-    return reports, elapsed
 
 
 @criterion(6, "stability ordering of mean consistency at k=20")

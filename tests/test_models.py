@@ -161,33 +161,37 @@ PINNED_FITS = {
 }
 
 
-class TestBitIdentity:
-    def pin_case(self, model):
-        train = standardize(generate(PIN_SPEC))
-        lap = build_laplacian(make_group_graph(PIN_SPEC), train.feature_names)
-        aug_spec = SyntheticSpec(**{**PIN_SPEC.__dict__, "seed": PIN_SPEC.seed + 2})
-        aug = standardize(generate(aug_spec, labeled=False)).X
-        ae = dict(alpha=0.02, lambda_ae=10.0, lambda_l2=1e-3, hidden_units=3)
-        cases = {
-            "lasso": (ModelSpec("lasso"), HyperParams(alpha=0.02)),
-            "elastic-net": (ModelSpec("elastic-net"), HyperParams(alpha=0.02, lambda_en=0.5)),
-            "lasso-graph": (
-                ModelSpec("lasso-graph", laplacian=lap), HyperParams(alpha=0.02, lambda_fg=0.05)),
-            "lasso-autoencoder": (ModelSpec("lasso-autoencoder"), HyperParams(**ae)),
-            "lasso-autoencoder-graph": (
-                ModelSpec("lasso-autoencoder-graph", laplacian=lap),
-                HyperParams(lambda_fg=0.05, **ae)),
-            "ag-lasso-autoencoder-graph": (
-                ModelSpec("ag-lasso-autoencoder-graph", laplacian=lap, augment=aug),
-                HyperParams(lambda_fg=0.05, **ae)),
-        }
-        return train, *cases[model]
+def pin_case(model):
+    """The training cohort, ModelSpec and HyperParams of one pinned fit."""
+    train = standardize(generate(PIN_SPEC))
+    lap = build_laplacian(make_group_graph(PIN_SPEC), train.feature_names)
+    aug_spec = SyntheticSpec(**{**PIN_SPEC.__dict__, "seed": PIN_SPEC.seed + 2})
+    aug = standardize(generate(aug_spec, labeled=False)).X
+    ae = dict(alpha=0.02, lambda_ae=10.0, lambda_l2=1e-3, hidden_units=3)
+    cases = {
+        "lasso": (ModelSpec("lasso"), HyperParams(alpha=0.02)),
+        "elastic-net": (ModelSpec("elastic-net"), HyperParams(alpha=0.02, lambda_en=0.5)),
+        "lasso-graph": (
+            ModelSpec("lasso-graph", laplacian=lap), HyperParams(alpha=0.02, lambda_fg=0.05)),
+        "lasso-autoencoder": (ModelSpec("lasso-autoencoder"), HyperParams(**ae)),
+        "lasso-autoencoder-graph": (
+            ModelSpec("lasso-autoencoder-graph", laplacian=lap),
+            HyperParams(lambda_fg=0.05, **ae)),
+        "ag-lasso-autoencoder-graph": (
+            ModelSpec("ag-lasso-autoencoder-graph", laplacian=lap, augment=aug),
+            HyperParams(lambda_fg=0.05, **ae)),
+    }
+    return train, *cases[model]
 
+
+PIN_CFG = OptimizerConfig(max_iters=300, learning_rate=0.05, rel_tol=3e-6, seed=3)
+
+
+class TestBitIdentity:
     @pytest.mark.parametrize("model", MODEL_NAMES)
     def test_fit_matches_pinned_bits(self, model):
-        train, spec, h = self.pin_case(model)
-        cfg = OptimizerConfig(max_iters=300, learning_rate=0.05, rel_tol=3e-6, seed=3)
-        fit = fit_model(spec, train, h, cfg)
+        train, spec, h = pin_case(model)
+        fit = fit_model(spec, train, h, PIN_CFG)
         digest = hashlib.sha256()
         digest.update(fit.effective_theta.tobytes())
         digest.update(np.float64(fit.bias).tobytes())
