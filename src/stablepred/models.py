@@ -117,10 +117,7 @@ def fit_model(
         value_and_grad = obj.joint_objective(d, spec.augment, h, spec.laplacian)
     else:
         init = LinearParams(theta=np.zeros(d.n_features), bias=0.0)
-        if spec.name == "elastic-net":
-            value_and_grad = obj.elastic_net_objective(d, h)
-        else:
-            value_and_grad = obj.lasso_objective(d, h, spec.laplacian)
+        value_and_grad = obj.linear_objective(d, h, spec.laplacian)
 
     result = minimize_vector(value_and_grad, init.to_vector(), cfg)
     params = result.params = init.with_vector(result.params)

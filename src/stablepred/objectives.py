@@ -5,15 +5,19 @@ their meaning across cohort sizes.  The L1 term uses the smooth surrogate
 sqrt(t^2 + eps) throughout, which keeps every objective differentiable.
 The bias enters the linear predictor but no penalty.
 
-Each model family has one fused ``value_and_grad(vec) -> (loss, grad)``
-over the flat ``to_vector()`` layout of its parameters, built once per fit by
-``lasso_objective``, ``elastic_net_objective`` or ``joint_objective``.  The
-public ``*_loss``/``*_grad`` functions are derived from the same term code.
+All six model families share one penalty stack on the weight vector theta
+(theta = W^T u for the factorized ones): the logistic term, then the smoothed
+L1 term with weight alpha * lambda_en, alpha * (1 - lambda_en) * sum theta^2,
+and, given a Laplacian, (lambda_fg / 2) theta^T L theta.  Each family has one
+fused ``value_and_grad(vec) -> (loss, grad)`` over the flat ``to_vector()``
+layout of its parameters, built once per fit by ``linear_objective`` or
+``joint_objective``.  The public ``*_loss``/``*_grad`` functions derive from
+these two.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit
@@ -24,8 +28,7 @@ __all__ = [
     "LinearParams",
     "FactorizedParams",
     "HyperParams",
-    "lasso_objective",
-    "elastic_net_objective",
+    "linear_objective",
     "joint_objective",
     "logistic_loss_linear",
     "lasso_penalty",
@@ -171,7 +174,7 @@ def _validate_augment(d: Dataset, aug: np.ndarray | None) -> None:
 
 
 # Terms.  Each returns its value and its gradient from one evaluation; the
-# fused objectives add them in a fixed order, which fixes the result bits.
+# objectives add them in a fixed order, which fixes the result bits.
 
 
 def _logistic(X: np.ndarray, y: np.ndarray, theta: np.ndarray, bias: float):
@@ -186,15 +189,28 @@ def _l1(theta: np.ndarray, alpha: float, eps: float):
     return float(alpha * np.sum(root)), alpha * theta / root
 
 
-def _graph(theta: np.ndarray, lap: Laplacian, lambda_fg: float):
-    return float(0.5 * lambda_fg * theta @ lap.matrix @ theta), lambda_fg * (lap.matrix @ theta)
+def _penalized(d: Dataset, h: HyperParams, lap: Laplacian | None):
+    """``f(theta, bias) -> (loss, g_theta, g_bias)``: the penalty stack on theta."""
+    _require_labeled(d)
+    if lap is not None:
+        _check_laplacian(lap, d.n_features)
+    X, y = d.X, d.y
+    l1_weight, l2_weight = h.alpha * h.lambda_en, h.alpha * (1.0 - h.lambda_en)
 
+    def f(theta: np.ndarray, bias: float):
+        loss, g_theta, g_bias = _logistic(X, y, theta, bias)
+        l1, g_l1 = _l1(theta, l1_weight, h.l1_epsilon)
+        loss += l1
+        g_theta += g_l1
+        loss += l2_weight * float(np.sum(theta**2))
+        g_theta += 2.0 * l2_weight * theta
+        if lap is not None:
+            lap_theta = lap.matrix @ theta
+            loss += 0.5 * h.lambda_fg * float(theta @ lap_theta)
+            g_theta += h.lambda_fg * lap_theta
+        return loss, g_theta, g_bias
 
-def _elastic_net(theta: np.ndarray, h: HyperParams):
-    l1, g_l1 = _l1(theta, 1.0, h.l1_epsilon)
-    l2 = float(np.sum(theta**2))
-    value = h.alpha * (h.lambda_en * l1 + (1.0 - h.lambda_en) * l2)
-    return value, h.alpha * (h.lambda_en * g_l1 + (1.0 - h.lambda_en) * 2.0 * theta)
+    return f
 
 
 def _ae_forward(W, V, b_W, b_V, X: np.ndarray):
@@ -216,48 +232,29 @@ def _l2_value(lambda_l2: float, W, V, b_W, b_V) -> float:
     return float(lambda_l2 * (np.sum(W**2) + np.sum(V**2) + np.sum(b_W**2) + np.sum(b_V**2)))
 
 
-def _linear_objective(d: Dataset, *terms):
-    """value_and_grad over [theta, bias]: logistic term plus ``terms`` in order."""
-    _require_labeled(d)
-    X, y = d.X, d.y
+def linear_objective(d: Dataset, h: HyperParams, lap: Laplacian | None = None):
+    """``value_and_grad(vec) -> (loss, grad)`` over [theta, bias]: lasso and
+    elastic-net, or lasso-graph with a Laplacian."""
+    f = _penalized(d, h, lap)
 
     def value_and_grad(vec: np.ndarray):
-        theta = vec[:-1]
-        loss, g_theta, g_bias = _logistic(X, y, theta, float(vec[-1]))
-        for term in terms:
-            value, grad = term(theta)
-            loss += value
-            g_theta += grad
+        loss, g_theta, g_bias = f(vec[:-1], float(vec[-1]))
         return loss, np.append(g_theta, g_bias)
 
     return value_and_grad
-
-
-def lasso_objective(d: Dataset, h: HyperParams, lap: Laplacian | None = None):
-    """Fused ``lasso_loss``/``lasso_grad``; with a Laplacian, ``lasso_graph_*``."""
-    terms = [lambda theta: _l1(theta, h.alpha, h.l1_epsilon)]
-    if lap is not None:
-        _check_laplacian(lap, d.n_features)
-        terms.append(lambda theta: _graph(theta, lap, h.lambda_fg))
-    return _linear_objective(d, *terms)
-
-
-def elastic_net_objective(d: Dataset, h: HyperParams):
-    """Fused ``elastic_net_loss``/``elastic_net_grad``."""
-    return _linear_objective(d, lambda theta: _elastic_net(theta, h))
 
 
 def joint_objective(d: Dataset, aug: np.ndarray | None, h: HyperParams,
                     lap: Laplacian | None = None):
     """Fused ``joint_loss``/``joint_grad`` over the FactorizedParams layout.
 
-    The labeled and augment rows are stacked once here, not per call.
+    The penalty stack is evaluated at theta = W^T u and its theta gradient
+    carried to u and W.  The labeled and augment rows are stacked once here,
+    not per call.
     """
-    _require_labeled(d)
+    f = _penalized(d, h, lap)
     _validate_augment(d, aug)
-    if lap is not None:
-        _check_laplacian(lap, d.n_features)
-    X, y, n = d.X, d.y, d.n_features
+    X, n = d.X, d.n_features
     rows = None
     if h.lambda_ae != 0.0:
         rows = X if aug is None else np.vstack([X, aug])
@@ -265,15 +262,7 @@ def joint_objective(d: Dataset, aug: np.ndarray | None, h: HyperParams,
     def value_and_grad(vec: np.ndarray):
         k = (vec.size - n - 1) // (2 * n + 2)  # vec has 2k(n + 1) + n + 1 entries
         u, W, V, b_W, b_V = _factor_views(vec, k, n)
-        theta = W.T @ u
-        loss, g_theta, g_bias = _logistic(X, y, theta, float(vec[-1]))
-        l1, g_l1 = _l1(theta, h.alpha, h.l1_epsilon)
-        loss += l1
-        g_theta += g_l1
-        if lap is not None:
-            graph, g_graph = _graph(theta, lap, h.lambda_fg)
-            g_theta += g_graph
-
+        loss, g_theta, g_bias = f(W.T @ u, float(vec[-1]))
         grad = np.zeros_like(vec)
         g_u, g_W, *g_decoder = _factor_views(grad, k, n)
         # theta = W^T u, so d/du = W g_theta and d/dW = u (x) g_theta.
@@ -291,8 +280,6 @@ def joint_objective(d: Dataset, aug: np.ndarray | None, h: HyperParams,
             c = 2.0 * h.lambda_l2
             for g, block in zip(g_blocks, blocks):
                 g += c * block
-        if lap is not None:
-            loss += graph
         grad[-1] = g_bias
         return loss, grad
 
@@ -315,36 +302,36 @@ def lasso_penalty(theta: np.ndarray, alpha: float, eps: float) -> float:
 
 
 def lasso_loss(p: LinearParams, d: Dataset, h: HyperParams) -> float:
-    """Logistic data term plus smoothed L1 on the weight vector."""
-    return lasso_objective(d, h)(p.to_vector())[0]
+    """Logistic data term plus smoothed L1 on the weight vector (lambda_en is taken as 1)."""
+    return linear_objective(d, replace(h, lambda_en=1.0))(p.to_vector())[0]
 
 
 def lasso_grad(p: LinearParams, d: Dataset, h: HyperParams) -> LinearParams:
-    return p.with_vector(lasso_objective(d, h)(p.to_vector())[1])
+    return p.with_vector(linear_objective(d, replace(h, lambda_en=1.0))(p.to_vector())[1])
 
 
 def elastic_net_loss(p: LinearParams, d: Dataset, h: HyperParams) -> float:
     """Logistic term plus alpha * (lambda_en * L1 + (1 - lambda_en) * sum theta^2)."""
-    return elastic_net_objective(d, h)(p.to_vector())[0]
+    return linear_objective(d, h)(p.to_vector())[0]
 
 
 def elastic_net_grad(p: LinearParams, d: Dataset, h: HyperParams) -> LinearParams:
-    return p.with_vector(elastic_net_objective(d, h)(p.to_vector())[1])
+    return p.with_vector(linear_objective(d, h)(p.to_vector())[1])
 
 
 def graph_penalty(theta: np.ndarray, lap: Laplacian, lambda_fg: float) -> float:
     """Quadratic form (lambda_fg / 2) theta^T L theta over the feature graph."""
     _check_laplacian(lap, theta.size)
-    return _graph(theta, lap, lambda_fg)[0]
+    return 0.5 * lambda_fg * float(theta @ (lap.matrix @ theta))
 
 
 def lasso_graph_loss(p: LinearParams, d: Dataset, h: HyperParams, lap: Laplacian) -> float:
     """Lasso objective with the feature-graph quadratic form added."""
-    return lasso_objective(d, h, lap)(p.to_vector())[0]
+    return linear_objective(d, replace(h, lambda_en=1.0), lap)(p.to_vector())[0]
 
 
 def lasso_graph_grad(p: LinearParams, d: Dataset, h: HyperParams, lap: Laplacian) -> LinearParams:
-    return p.with_vector(lasso_objective(d, h, lap)(p.to_vector())[1])
+    return p.with_vector(linear_objective(d, replace(h, lambda_en=1.0), lap)(p.to_vector())[1])
 
 
 def logistic_loss_factorized(p: FactorizedParams, d: Dataset) -> float:
@@ -401,10 +388,10 @@ def joint_loss(p: FactorizedParams, d: Dataset, aug: np.ndarray | None, h: Hyper
                lap: Laplacian | None = None) -> float:
     """Factorized logistic loss jointly regularized by reconstruction.
 
-    Sum of the factorized logistic term, the smoothed L1 on theta = W^T u,
-    lambda_ae times the reconstruction loss over the labeled rows stacked
-    with any augment rows, the encoder/decoder weight decay, and (when a
-    Laplacian is given) the feature-graph quadratic form on theta.
+    Sum of the penalty stack of ``linear_objective`` at theta = W^T u (with a
+    Laplacian, its feature-graph quadratic form too), lambda_ae times the
+    reconstruction loss over the labeled rows stacked with any augment rows,
+    and the encoder/decoder weight decay.
     """
     return joint_objective(d, aug, h, lap)(p.to_vector())[0]
 
