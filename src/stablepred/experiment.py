@@ -88,7 +88,7 @@ class ExperimentConfig:
             raise ValueError("k_list entries must be >= 1")
         if self.top_for_snr < 1:
             raise ValueError("top_for_snr must be >= 1")
-        if self.selected_tol <= 0:
+        if not 0 < self.selected_tol < np.inf:  # NaN fails both comparisons
             raise ValueError("selected_tol must be > 0")
 
     @classmethod
@@ -311,7 +311,8 @@ def emit_report(report: StabilityReport, out_dir) -> list[Path]:
     ]
 
 
-_SHARED_FIELDS = ("train_path", "validation_path", "n_bootstraps", "k_list")
+_SHARED_FIELDS = ("train_path", "validation_path", "n_bootstraps", "k_list", "top_for_snr",
+                  "selected_tol")
 
 
 def compare_models(

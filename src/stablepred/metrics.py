@@ -88,7 +88,7 @@ def best_f_threshold(p: PredictionSet) -> tuple[float, float]:
 
 def selected_count(theta: np.ndarray, tol: float = 1e-6) -> tuple[int, float]:
     """How many weights exceed ``tol`` in magnitude, and that count over N."""
-    if tol <= 0:
+    if not 0 < tol < np.inf:  # NaN fails both comparisons
         raise ValueError("tol must be > 0")
     count = int(np.sum(np.abs(theta) > tol))
     return count, count / theta.size

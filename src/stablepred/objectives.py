@@ -144,15 +144,15 @@ class HyperParams:
     l1_epsilon: float = 1e-10
 
     def __post_init__(self):
-        if self.alpha < 0:
+        if not 0 <= self.alpha < np.inf:  # NaN fails both comparisons
             raise ValueError("alpha must be >= 0")
         if not 0.0 <= self.lambda_en <= 1.0:
             raise ValueError("lambda_en must lie in [0, 1]")
-        if self.lambda_fg < 0 or self.lambda_ae < 0 or self.lambda_l2 < 0:
+        if not all(0 <= w < np.inf for w in (self.lambda_fg, self.lambda_ae, self.lambda_l2)):
             raise ValueError("penalty weights must be >= 0")
         if self.hidden_units < 1:
             raise ValueError("hidden_units must be a positive integer")
-        if self.l1_epsilon <= 0:
+        if not 0 < self.l1_epsilon < np.inf:
             raise ValueError("l1_epsilon must be > 0")
 
 

@@ -55,9 +55,9 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.learning_rate <= 0:
+        if not 0 < self.learning_rate < math.inf:  # NaN fails both comparisons
             raise ValueError("learning_rate must be > 0")
-        if self.rel_tol <= 0:
+        if not 0 < self.rel_tol < math.inf:
             raise ValueError("rel_tol must be > 0")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")

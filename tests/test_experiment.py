@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 from pathlib import Path
@@ -109,6 +110,23 @@ class TestConfigValidation:
         else:
             with pytest.raises(ValueError, match=knob):
                 base_config(cohort_dir, model=model, hyperparams=h, **extra)
+
+    @pytest.mark.parametrize("section,field,value", [
+        (None, "selected_tol", math.nan),
+        (None, "selected_tol", math.inf),
+        ("optimizer", "rel_tol", math.nan),
+        ("hyperparams", "alpha", math.inf),
+    ])
+    def test_nan_and_inf_in_config_file_rejected(self, cohort_dir, tmp_path, section, field,
+                                                 value):
+        # json writes and reads NaN and Infinity; at selected_tol=NaN the report
+        # counted 0 selected weights, at rel_tol=NaN every fit ran to max_iters
+        payload = base_config(cohort_dir).to_dict()
+        (payload if section is None else payload[section])[field] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            ExperimentConfig.from_json(path)
 
     def test_config_json_roundtrip(self, cohort_dir, tmp_path):
         cfg = base_config(cohort_dir)
@@ -238,6 +256,12 @@ class TestCompareModels:
         b = base_config(cohort_dir, n_bootstraps=6)
         with pytest.raises(ValueError, match="n_bootstraps"):
             compare_models([a, b])
+
+    @pytest.mark.parametrize("field,value", [("top_for_snr", 4), ("selected_tol", 1e-2)])
+    def test_mismatched_reporting_fields_rejected(self, cohort_dir, field, value):
+        # comparison.csv puts snr_above_count and selected_fraction in one column
+        with pytest.raises(ValueError, match=field):
+            compare_models([base_config(cohort_dir), base_config(cohort_dir, **{field: value})])
 
     def test_mismatched_seed_rejected(self, cohort_dir):
         a = base_config(cohort_dir)

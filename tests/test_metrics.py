@@ -287,6 +287,12 @@ class TestSelectedCount:
         with pytest.raises(ValueError):
             selected_count(np.ones(3), tol=0.0)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_nan_and_inf_tol_rejected(self, tol):
+        # a NaN tol counts no weight as selected
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            selected_count(np.ones(3), tol=tol)
+
     def test_heavily_penalized_fit_is_sparse_at_default_tol(self):
         # a dominant L1 weight pins every coordinate near zero; small plain
         # gradient steps settle at the stationary point below the tolerance

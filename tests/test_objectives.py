@@ -140,6 +140,22 @@ class TestElasticNet:
             HyperParams(lambda_en=1.5)
 
 
+class TestHyperParams:
+    MESSAGES = {
+        "alpha": "alpha must be >= 0",
+        "lambda_fg": "penalty weights must be >= 0",
+        "lambda_ae": "penalty weights must be >= 0",
+        "lambda_l2": "penalty weights must be >= 0",
+        "l1_epsilon": "l1_epsilon must be > 0",
+    }
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", MESSAGES)
+    def test_nan_and_inf_rejected(self, field, value):
+        with pytest.raises(ValueError, match=self.MESSAGES[field]):
+            HyperParams(**{field: value})
+
+
 class TestGraphPenalty:
     def test_constant_theta_connected_graph(self):
         lap = build_laplacian(

@@ -196,3 +196,10 @@ class TestOptimizerConfig:
             OptimizerConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             OptimizerConfig(rel_tol=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["learning_rate", "rel_tol"])
+    def test_nan_and_inf_rejected(self, field, value):
+        # a NaN rel_tol never stops a fit; a config file can carry one (json reads NaN)
+        with pytest.raises(ValueError, match=f"{field} must be > 0"):
+            OptimizerConfig(**{field: value})

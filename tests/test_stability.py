@@ -5,6 +5,7 @@ import glob
 import multiprocessing
 import os
 import signal
+import time
 from concurrent.futures.process import BrokenProcessPool
 from itertools import combinations
 
@@ -450,6 +451,25 @@ class TestBootstrapPool:
         assert str(exc.value).startswith("bootstrap 0: non-finite loss")
         assert exc.value.iteration == 1
         assert multiprocessing.active_children() == []
+
+    def test_failure_cancels_queued_jobs(self, monkeypatch, tmp_path):
+        # Executor.map cancels the jobs still queued once a result raises, so a
+        # fit that fails at once does not wait for the rest of the ensemble
+        force_workers(monkeypatch, 2)
+        ran = tmp_path / "ran"
+
+        def job(i):
+            if i == 0:
+                raise ValueError("job 0 failed")
+            time.sleep(0.2)
+            with open(ran, "a", encoding="utf-8") as fh:
+                fh.write(f"{i}\n")
+            return i
+
+        with pytest.raises(ValueError, match="job 0 failed"):
+            stability._map_in_order(job, 40)
+        assert multiprocessing.active_children() == []
+        assert len(ran.read_text(encoding="utf-8").split() if ran.exists() else []) < 20
 
     def test_dead_worker_raises(self, monkeypatch):
         # a worker killed from outside (say, for memory) fails the map, not hangs it
