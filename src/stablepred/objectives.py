@@ -174,7 +174,7 @@ def _validate_augment(d: Dataset, aug: np.ndarray | None) -> None:
 
 
 # Terms.  Each returns its value and its gradient from one evaluation; the
-# objectives add them in a fixed order, which fixes the result bits.
+# fused objectives add them in a fixed order, which fixes the result bits.
 
 
 def _logistic(X: np.ndarray, y: np.ndarray, theta: np.ndarray, bias: float):
@@ -202,8 +202,9 @@ def _penalized(d: Dataset, h: HyperParams, lap: Laplacian | None):
         l1, g_l1 = _l1(theta, l1_weight, h.l1_epsilon)
         loss += l1
         g_theta += g_l1
-        loss += l2_weight * float(np.sum(theta**2))
-        g_theta += 2.0 * l2_weight * theta
+        if l2_weight != 0.0:  # it is 0 at lambda_en = 1, in every model but elastic-net
+            loss += l2_weight * float(np.sum(theta**2))
+            g_theta += 2.0 * l2_weight * theta
         if lap is not None:
             lap_theta = lap.matrix @ theta
             loss += 0.5 * h.lambda_fg * float(theta @ lap_theta)
