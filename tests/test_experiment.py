@@ -115,7 +115,6 @@ class TestConfigValidation:
         (None, "selected_tol", math.nan),
         (None, "selected_tol", math.inf),
         ("optimizer", "rel_tol", math.nan),
-        ("hyperparams", "alpha", math.inf),
     ])
     def test_nan_and_inf_in_config_file_rejected(self, cohort_dir, tmp_path, section, field,
                                                  value):
