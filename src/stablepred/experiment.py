@@ -28,7 +28,7 @@ from .data import (
 )
 from .metrics import PredictionSet, auc, best_f_threshold, selected_count
 from .models import ModelSpec, check_model_inputs, fit_model, validate_hyperparams
-from .objectives import HyperParams
+from .objectives import HyperParams, _require_int
 from .optimizer import OptimizerConfig
 from .stability import (
     _bootstraps_and_final_fit,
@@ -80,14 +80,12 @@ class ExperimentConfig:
             self.model, self.graph_path is not None, self.augment_path is not None,
             fields=("graph_path", "augment_path"),
         )
-        if self.n_bootstraps < 2:
-            raise ValueError("n_bootstraps must be >= 2")
+        _require_int("n_bootstraps", self.n_bootstraps, 2)
         if not self.k_list:
             raise ValueError("k_list must not be empty")
-        if any(k < 1 for k in self.k_list):
-            raise ValueError("k_list entries must be >= 1")
-        if self.top_for_snr < 1:
-            raise ValueError("top_for_snr must be >= 1")
+        for k in self.k_list:
+            _require_int("k_list entries", k, 1)
+        _require_int("top_for_snr", self.top_for_snr, 1)
         if not 0 < self.selected_tol < np.inf:  # NaN fails both comparisons
             raise ValueError("selected_tol must be > 0")
 
@@ -99,7 +97,7 @@ class ExperimentConfig:
         if "optimizer" in data:
             data["optimizer"] = OptimizerConfig(**data["optimizer"])
         if "k_list" in data:
-            data["k_list"] = tuple(int(k) for k in data["k_list"])
+            data["k_list"] = tuple(data["k_list"])
         return cls(**data)
 
     def to_dict(self) -> dict:

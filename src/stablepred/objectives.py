@@ -18,6 +18,7 @@ these two.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 from scipy.special import expit
@@ -150,10 +151,15 @@ class HyperParams:
             raise ValueError("lambda_en must lie in [0, 1]")
         if not all(0 <= w < np.inf for w in (self.lambda_fg, self.lambda_ae, self.lambda_l2)):
             raise ValueError("penalty weights must be >= 0")
-        if self.hidden_units < 1:
-            raise ValueError("hidden_units must be a positive integer")
+        _require_int("hidden_units", self.hidden_units, 1)
         if not 0 < self.l1_epsilon < np.inf:
             raise ValueError("l1_epsilon must be > 0")
+
+
+def _require_int(name: str, value, low: int) -> None:
+    """Reject anything but an integer >= ``low``: NaN, fractions and bools too."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _require_labeled(d: Dataset) -> None:
@@ -295,9 +301,9 @@ def logistic_loss_linear(p: LinearParams, d: Dataset) -> float:
 
 def lasso_penalty(theta: np.ndarray, alpha: float, eps: float) -> float:
     """Smoothed L1 penalty alpha * sum sqrt(theta_i^2 + eps)."""
-    if alpha < 0:
+    if not 0 <= alpha < np.inf:  # NaN fails both comparisons
         raise ValueError("alpha must be >= 0")
-    if eps <= 0:
+    if not 0 < eps < np.inf:
         raise ValueError("eps must be > 0")
     return _l1(theta, alpha, eps)[0]
 
@@ -380,7 +386,7 @@ def ae_l2_penalty(p: FactorizedParams, lambda_l2: float) -> float:
 
     u and the predictor bias are not penalized.
     """
-    if lambda_l2 < 0:
+    if not 0 <= lambda_l2 < np.inf:  # NaN fails both comparisons
         raise ValueError("lambda_l2 must be >= 0")
     return _l2_value(lambda_l2, p.W, p.V, p.b_W, p.b_V)
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import FactorizedParams
+from .objectives import FactorizedParams, _require_int
 
 __all__ = [
     "OptimizerConfig",
@@ -53,14 +53,12 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        _require_int("max_iters", self.max_iters, 1)
         if not 0 < self.learning_rate < math.inf:  # NaN fails both comparisons
             raise ValueError("learning_rate must be > 0")
         if not 0 < self.rel_tol < math.inf:
             raise ValueError("rel_tol must be > 0")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        _require_int("seed", self.seed, 0)
 
 
 @dataclass(eq=False)

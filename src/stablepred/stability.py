@@ -39,6 +39,11 @@ class BootstrapEnsemble:
             raise ValueError("weights must be a B x N matrix")
         if len(self.seeds) != self.weights.shape[0]:
             raise ValueError("one seed per bootstrap row required")
+        if not np.isfinite(self.weights).all():
+            b, j = np.argwhere(~np.isfinite(self.weights))[0]
+            raise ValueError(
+                f"non-finite weight {self.weights[b, j]} at bootstrap {b}, feature {j}"
+            )
 
     @property
     def n_bootstraps(self) -> int:
@@ -71,11 +76,6 @@ class SubsetFamily:
         for s in self.subsets:
             if len(s) != self.k:
                 raise ValueError(f"subset of size {len(s)} in a k={self.k} family")
-
-
-def _descending_order(values: np.ndarray) -> np.ndarray:
-    # stable sort of -values along the last axis: descending, ties by ascending index
-    return np.argsort(-values, kind="stable")
 
 
 def run_bootstraps(
@@ -211,21 +211,44 @@ def _map_in_order(job, n_jobs: int) -> list:
         return list(pool.map(_run_worker_job, range(n_jobs)))
 
 
+def _check_raw_std(raw_std: np.ndarray, n_features: int) -> None:
+    if raw_std.shape != (n_features,):
+        raise ValueError("raw_std length must match the ensemble's feature count")
+    bad = np.flatnonzero(~((raw_std >= 0) & (raw_std < np.inf)))  # NaN fails both
+    if len(bad):
+        raise ValueError(f"raw_std must be finite and >= 0, got {raw_std[bad[0]]} "
+                         f"at feature {bad[0]}")
+
+
 def feature_importance(e: BootstrapEnsemble, raw_std: np.ndarray) -> FeatureRanking:
     """Rank features by |mean weight across bootstraps| times raw feature std."""
-    if raw_std.shape != (e.n_features,):
-        raise ValueError("raw_std length must match the ensemble's feature count")
+    _check_raw_std(raw_std, e.n_features)
     importance = np.abs(e.weights.mean(axis=0)) * raw_std
-    return FeatureRanking(importance=importance, order=_descending_order(importance))
+    # stable sort of -importance: descending, ties by ascending index
+    return FeatureRanking(importance=importance, order=np.argsort(-importance, kind="stable"))
 
 
 def top_k_subsets(e: BootstrapEnsemble, raw_std: np.ndarray, k: int) -> SubsetFamily:
-    """Top-k feature sets ranked within each bootstrap by |weight| * raw std."""
+    """Top-k feature sets ranked within each bootstrap by |weight| * raw std.
+
+    Ties at the k-th score go to the smaller feature indices, so each set is
+    the first k of that row's stable descending order, found in O(B*d).
+    """
     if not 1 <= k < e.n_features:
         raise ValueError(f"k must satisfy 1 <= k < {e.n_features}")
-    if raw_std.shape != (e.n_features,):
-        raise ValueError("raw_std length must match the ensemble's feature count")
-    top = _descending_order(np.abs(e.weights) * raw_std)[:, :k]
+    _check_raw_std(raw_std, e.n_features)
+    scores = np.abs(e.weights)
+    scores *= raw_std  # in place: a fresh B x d temporary costs more than the product
+    kth = np.partition(scores, -k, axis=1)[:, -k, None]
+    take = scores >= kth
+    over = np.flatnonzero(take.sum(axis=1) > k)
+    if len(over):
+        # rows whose ties at the k-th score overfill: keep the lowest-index ties
+        sub, kth_sub = scores[over], kth[over]
+        above, ties = sub > kth_sub, sub == kth_sub
+        room = k - above.sum(axis=1, keepdims=True)
+        take[over] = above | (ties & (np.cumsum(ties, axis=1) <= room))
+    top = np.nonzero(take)[1].reshape(-1, k)
     return SubsetFamily(k=k, subsets=tuple(frozenset(row) for row in top.tolist()))
 
 
@@ -249,8 +272,11 @@ def consistency_index(s_i: frozenset, s_j: frozenset, d: int) -> float:
 def mean_consistency(f: SubsetFamily, d: int) -> float:
     """Average consistency index over all unordered pairs of subsets.
 
-    Bit-identical to averaging ``consistency_index`` over ``combinations``:
-    overlaps from 0/1 indicator products are exact in float64.
+    The index is linear in the overlap r, and the overlaps of all pairs sum
+    to R = sum_j c_j (c_j - 1) / 2 over the per-feature selection counts c_j.
+    So the mean over the P = B(B-1)/2 pairs is (R*d - P*k^2) / (P*k*(d - k)),
+    an exact ratio of integers, and the result is that exact mean rounded
+    once, found in O(B*k + d) without visiting the pairs.
     """
     b, k = len(f.subsets), f.k
     if b < 2:
@@ -260,10 +286,11 @@ def mean_consistency(f: SubsetFamily, d: int) -> float:
     members = np.fromiter((i for s in f.subsets for i in s), dtype=np.int64, count=b * k)
     if members.min() < 0 or members.max() >= d:
         raise ValueError(f"subset elements must lie in [0, {d})")
-    indicator = np.zeros((b, d))
-    indicator[np.repeat(np.arange(b), k), members] = 1.0
-    r = (indicator @ indicator.T)[np.triu_indices(b, 1)]
-    return float(np.mean((r * d - k * k) / (k * (d - k))))
+    counts = np.bincount(members, minlength=d)
+    r, p = int(np.sum(counts * (counts - 1))) // 2, b * (b - 1) // 2
+    # Python ints: exact products and one correctly rounded division
+    d, k = int(d), int(k)
+    return (r * d - p * k * k) / (p * k * (d - k))
 
 
 def snr(e: BootstrapEnsemble) -> np.ndarray:

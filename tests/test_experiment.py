@@ -127,6 +127,24 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"{field} must be"):
             ExperimentConfig.from_json(path)
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_bootstraps", math.nan), ("n_bootstraps", 2.5), ("n_bootstraps", 1),
+        ("top_for_snr", math.nan), ("top_for_snr", 2.5), ("top_for_snr", 0),
+        ("k_list", (3, math.nan)), ("k_list", (2.5,)), ("k_list", (0,)),
+    ])
+    def test_integer_settings_rejected(self, cohort_dir, field, value):
+        with pytest.raises(ValueError, match=f"{field}.* must be an integer"):
+            base_config(cohort_dir, **{field: value})
+
+    def test_fractional_k_in_config_file_rejected(self, cohort_dir, tmp_path):
+        # from_dict used to truncate 2.5 to 2
+        payload = base_config(cohort_dir).to_dict()
+        payload["k_list"] = [2.5]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match="k_list entries must be an integer >= 1, got 2.5"):
+            ExperimentConfig.from_json(path)
+
     def test_config_json_roundtrip(self, cohort_dir, tmp_path):
         cfg = base_config(cohort_dir)
         path = tmp_path / "cfg.json"
@@ -272,11 +290,12 @@ class TestCompareModels:
             compare_models([a, b])
 
 
-# SHA-256 of report.json for TestReportPin's config, recorded before the loader
-# and the reductions moved to numpy kernels (numpy 2.4, OpenBLAS 0.3.31,
+# SHA-256 of report.json for TestReportPin's config (numpy 2.4, OpenBLAS 0.3.31,
 # x86-64).  It covers load, alignment, fits, reductions and JSON; a change meant
-# to keep every number must keep it.
-PINNED_REPORT_SHA256 = "ecceaa7d3cb3f29d975f0b902a8aa84bb6e15f1ef168818bb213c9486f4310f3"
+# to keep every number must keep it.  Re-recorded when mean_consistency became
+# the exact mean rounded once: the k=6 mean_ci moved by 1 ulp,
+# from 0.23611111111111116 to 0.2361111111111111, and no other byte changed.
+PINNED_REPORT_SHA256 = "93a1e0e692d482135e937e8b5a2f809d8fff7f4808b553b34130d28745b077b0"
 
 
 class TestReportPin:

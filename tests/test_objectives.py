@@ -114,6 +114,17 @@ class TestLassoPenalty:
         with pytest.raises(ValueError):
             lasso_penalty(np.ones(2), 1.0, 0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_nan_and_inf_alpha_rejected(self, value):
+        # a NaN alpha returned nan and an infinite one inf
+        with pytest.raises(ValueError, match="alpha must be >= 0"):
+            lasso_penalty(np.ones(2), value, 1e-8)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_nan_and_inf_eps_rejected(self, value):
+        with pytest.raises(ValueError, match="eps must be > 0"):
+            lasso_penalty(np.ones(2), 1.0, value)
+
 
 class TestElasticNet:
     def test_reduces_to_lasso_at_one(self):
@@ -154,6 +165,12 @@ class TestHyperParams:
     def test_nan_and_inf_rejected(self, field, value):
         with pytest.raises(ValueError, match=self.MESSAGES[field]):
             HyperParams(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, 2.5, 0, True])
+    def test_hidden_units_must_be_a_positive_integer(self, value):
+        # NaN used to construct and fail inside the fit's initialization
+        with pytest.raises(ValueError, match="hidden_units must be an integer >= 1"):
+            HyperParams(hidden_units=value)
 
 
 class TestGraphPenalty:
@@ -281,6 +298,12 @@ class TestAeL2Penalty:
         p = self.make(np.ones((1, 2)), np.ones((2, 1)))
         q = FactorizedParams(u=7.0 * p.u, W=p.W, V=p.V, b_W=p.b_W, b_V=p.b_V)
         assert ae_l2_penalty(p, 1.3) == ae_l2_penalty(q, 1.3)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_bad_weight_rejected(self, value):
+        p = self.make(np.ones((1, 2)), np.ones((2, 1)))
+        with pytest.raises(ValueError, match="lambda_l2 must be >= 0"):
+            ae_l2_penalty(p, value)
 
 
 class TestJointLoss:

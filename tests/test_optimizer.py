@@ -197,6 +197,15 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError):
             OptimizerConfig(rel_tol=0.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("max_iters", math.nan), ("max_iters", 2.5), ("max_iters", 0),
+        ("seed", math.nan), ("seed", 2.5), ("seed", -1),
+    ])
+    def test_integer_settings_rejected(self, field, value):
+        # a NaN or fractional max_iters used to fail inside the fit, unlocated
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            OptimizerConfig(**{field: value})
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("field", ["learning_rate", "rel_tol"])
     def test_nan_and_inf_rejected(self, field, value):

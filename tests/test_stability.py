@@ -6,7 +6,9 @@ import multiprocessing
 import os
 import signal
 import time
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -38,6 +40,20 @@ def ensemble_from(weights, tag="test"):
     return BootstrapEnsemble(
         weights=weights, seeds=tuple(range(weights.shape[0])), model_tag=tag
     )
+
+
+class TestBootstrapEnsemble:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_named_by_bootstrap_and_feature(self, value):
+        weights = np.ones((3, 4))
+        weights[2, 1] = value
+        with pytest.raises(ValueError, match=f"non-finite weight {value} at bootstrap 2, feature 1"):
+            ensemble_from(weights)
+
+    def test_nan_is_not_ranked(self):
+        # top_k_subsets used to rank a NaN weight last: this gave {2} at k = 1
+        with pytest.raises(ValueError, match="non-finite weight nan at bootstrap 0, feature 0"):
+            ensemble_from([[np.nan, 1.0, 2.0], [1.0, 2.0, 3.0]])
 
 
 class TestConsistencyIndex:
@@ -167,8 +183,12 @@ def subset_families(draw):
 
 
 def pairwise_mean_consistency(f, d):
-    """Reference: the mean of consistency_index over all unordered pairs."""
-    return float(np.mean([consistency_index(a, b, d) for a, b in combinations(f.subsets, 2)]))
+    """Reference: the exact rational mean of the index over all unordered pairs,
+    rounded once to a float."""
+    k = f.k
+    pairs = list(combinations(f.subsets, 2))
+    total = sum(Fraction(len(a & b) * d - k * k, k * (d - k)) for a, b in pairs)
+    return float(total / len(pairs))
 
 
 class TestMeanConsistencyOracle:
@@ -197,6 +217,23 @@ class TestMeanConsistencyOracle:
         with pytest.raises(ValueError, match="0 < k < d"):
             mean_consistency(fam, 3)
 
+    def test_peak_memory_far_below_one_indicator_matrix(self):
+        # The pairwise form built a B x d float indicator (160 MB here) and a
+        # B x B Gram; the counts need O(B*k + d).  The peak of the allocations
+        # tracemalloc sees is deterministic, unlike a timing.
+        b, d, k = 2000, 10000, 20
+        rng = np.random.default_rng(0)
+        fam = SubsetFamily(k=k, subsets=tuple(
+            frozenset(rng.choice(d, size=k, replace=False).tolist()) for _ in range(b)
+        ))
+        tracemalloc.start()
+        try:
+            mean_consistency(fam, d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < b * d * 8 // 100
+
 
 class TestFeatureImportance:
     def test_all_zero_weights(self):
@@ -215,6 +252,15 @@ class TestFeatureImportance:
         r = feature_importance(e, np.array([0.0, 1.0]))
         assert r.importance[0] == 0.0
         np.testing.assert_array_equal(r.order, [1, 0])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("reduce", [feature_importance, lambda e, s: top_k_subsets(e, s, 1)],
+                             ids=["feature_importance", "top_k_subsets"])
+    def test_bad_raw_std_rejected(self, reduce, value):
+        e = ensemble_from(np.ones((2, 3)))
+        with pytest.raises(ValueError, match=f"raw_std must be finite and >= 0, got {value} "
+                                             "at feature 1"):
+            reduce(e, np.array([1.0, value, 1.0]))
 
     def test_order_is_permutation(self):
         rng = np.random.default_rng(3)
@@ -255,6 +301,14 @@ class TestTopKSubsets:
         assert fam.subsets[0] == frozenset(order[:5].tolist())
 
 
+def stable_argsort_top_k(weights, raw_std, k):
+    """Reference: the first k of each row's stable descending order."""
+    return tuple(
+        frozenset(int(i) for i in np.argsort(-(np.abs(row) * raw_std), kind="stable")[:k])
+        for row in weights
+    )
+
+
 @given(
     st.integers(min_value=2, max_value=9),
     st.integers(min_value=2, max_value=12),
@@ -268,11 +322,18 @@ def test_top_k_matches_per_row_ranking(b, n, seed):
     raw_std = rng.integers(0, 3, size=n).astype(float)
     k = int(rng.integers(1, n))
     fam = top_k_subsets(ensemble_from(weights), raw_std, k)
-    expected = tuple(
-        frozenset(int(i) for i in np.argsort(-(np.abs(row) * raw_std), kind="stable")[:k])
-        for row in weights
-    )
-    assert fam.subsets == expected
+    assert fam.subsets == stable_argsort_top_k(weights, raw_std, k)
+
+
+@pytest.mark.parametrize("k", [1, 5, 20, 40, 60, 99])
+def test_top_k_matches_per_row_ranking_on_sparse_ensemble(k):
+    # 80% exact zeros, as in sparse fits: from k = 20 on, many rows tie at a
+    # k-th score of 0 and must fill up with their lowest-index zeros
+    rng = np.random.default_rng(k)
+    weights = rng.standard_normal((200, 100)) * (rng.random((200, 100)) < 0.2)
+    raw_std = rng.uniform(0.5, 2.0, 100) * (rng.random(100) >= 0.1)
+    fam = top_k_subsets(ensemble_from(weights), raw_std, k)
+    assert fam.subsets == stable_argsort_top_k(weights, raw_std, k)
 
 
 class TestSnr:
