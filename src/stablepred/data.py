@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -209,26 +209,35 @@ def write_dataset_csv(d: Dataset, path, label_column: str = DEFAULT_LABEL_COLUMN
             fh.write(",".join(map(repr, row.tolist())) + end)
 
 
+def _rescale(d: Dataset, reference: Dataset | None) -> Dataset:
+    """Center ``d`` by a mean and divide by a std, writing 0 where the std is 0.
+
+    The statistics are ``d``'s own column statistics, or the reference
+    cohort's raw ones.  A non-finite cell is rejected with its row and column.
+    """
+    if d.standardized:
+        raise ValueError("dataset is already standardized")
+    if reference is not None and d.feature_names != reference.feature_names:
+        raise ValueError("feature columns do not match the reference dataset")
+    if not np.isfinite(d.X).all():
+        i, j = np.argwhere(~np.isfinite(d.X))[0]
+        raise ValueError(f"non-finite value {d.X[i, j]} at row {i}, column {d.feature_names[j]!r}")
+    if reference is None:
+        mean, std = d.X.mean(axis=0), d.X.std(axis=0)
+    else:
+        mean, std = reference.raw_mean, reference.raw_std
+    centered = d.X - mean
+    scaled = np.divide(centered, std, out=np.zeros_like(centered), where=std > 0)
+    return replace(d, X=scaled, standardized=True)
+
+
 def standardize(d: Dataset) -> Dataset:
     """Center each column to mean 0 and scale to standard deviation 1.
 
     Columns with zero variance become all-zeros.  ``raw_mean``/``raw_std``
     are preserved from the input.  Standardizing twice is rejected.
     """
-    if d.standardized:
-        raise ValueError("dataset is already standardized")
-    mean = d.X.mean(axis=0)
-    std = d.X.std(axis=0)
-    centered = d.X - mean
-    scaled = np.divide(centered, std, out=np.zeros_like(centered), where=std > 0)
-    return Dataset(
-        feature_names=d.feature_names,
-        X=scaled,
-        y=d.y,
-        raw_mean=d.raw_mean,
-        raw_std=d.raw_std,
-        standardized=True,
-    )
+    return _rescale(d, None)
 
 
 def standardize_like(d: Dataset, reference: Dataset) -> Dataset:
@@ -237,34 +246,13 @@ def standardize_like(d: Dataset, reference: Dataset) -> Dataset:
     Used to score held-out data with a model fit on the reference cohort's
     standardized scale.  Columns the reference holds constant become zeros.
     """
-    if d.standardized:
-        raise ValueError("dataset is already standardized")
-    if d.feature_names != reference.feature_names:
-        raise ValueError("feature columns do not match the reference dataset")
-    centered = d.X - reference.raw_mean
-    scaled = np.divide(
-        centered, reference.raw_std, out=np.zeros_like(centered), where=reference.raw_std > 0
-    )
-    return Dataset(
-        feature_names=d.feature_names,
-        X=scaled,
-        y=d.y,
-        raw_mean=d.raw_mean,
-        raw_std=d.raw_std,
-        standardized=True,
-    )
+    return _rescale(d, reference)
 
 
 def _select_columns(d: Dataset, names: list[str]) -> Dataset:
     idx = [d.feature_names.index(n) for n in names]
-    return Dataset(
-        feature_names=tuple(names),
-        X=d.X[:, idx],
-        y=d.y,
-        raw_mean=d.raw_mean[idx],
-        raw_std=d.raw_std[idx],
-        standardized=d.standardized,
-    )
+    return replace(d, feature_names=tuple(names), X=d.X[:, idx],
+                   raw_mean=d.raw_mean[idx], raw_std=d.raw_std[idx])
 
 
 def align_common_features(*cohorts: Dataset) -> tuple[Dataset, ...]:

@@ -214,6 +214,8 @@ def run_experiment(cfg: ExperimentConfig) -> StabilityReport:
     train, validation, augment = _load_cohorts(cfg)
     if not train.labeled or not validation.labeled:
         raise ValueError("train and validation cohorts must be labeled")
+    if len(np.unique(validation.y)) < 2:
+        raise ValueError(f"{cfg.validation_path}: validation cohort must hold both classes")
     n = train.n_features
     for k in cfg.k_list:
         if k >= n:
@@ -309,8 +311,8 @@ def emit_report(report: StabilityReport, out_dir) -> list[Path]:
     ]
 
 
-_SHARED_FIELDS = ("train_path", "validation_path", "n_bootstraps", "k_list", "top_for_snr",
-                  "selected_tol")
+_SHARED_FIELDS = ("train_path", "validation_path", "label_column", "n_bootstraps", "k_list",
+                  "top_for_snr", "selected_tol")
 
 
 def compare_models(

@@ -351,16 +351,9 @@ def logistic_loss_factorized(p: FactorizedParams, d: Dataset) -> float:
 
 
 def logistic_grad_factorized(p: FactorizedParams, d: Dataset) -> FactorizedParams:
-    _require_labeled(d)
-    _, g_theta, g_bias = _logistic(d.X, d.y, p.effective_theta(), p.bias)
-    return FactorizedParams(
-        u=p.W @ g_theta,
-        W=np.outer(p.u, g_theta),
-        V=np.zeros_like(p.V),
-        b_W=np.zeros_like(p.b_W),
-        b_V=np.zeros_like(p.b_V),
-        bias=g_bias,
-    )
+    """Gradient of ``logistic_loss_factorized``: ``joint_objective`` with every penalty off."""
+    h = HyperParams(alpha=0.0, hidden_units=p.hidden_units)
+    return p.with_vector(joint_objective(d, None, h)(p.to_vector())[1])
 
 
 def ae_loss(p: FactorizedParams, X: np.ndarray) -> float:

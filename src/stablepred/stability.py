@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -112,14 +112,7 @@ def _bootstraps_and_final_fit(final_fit, d, model_spec, h, cfg, n_bootstraps, ba
     def fit(b: int) -> np.ndarray:
         seed = base_seed + b
         idx = np.random.default_rng(seed).integers(0, m, size=m)
-        resampled = Dataset(
-            feature_names=d.feature_names,
-            X=d.X[idx],
-            y=d.y[idx],
-            raw_mean=d.raw_mean,
-            raw_std=d.raw_std,
-            standardized=d.standardized,
-        )
+        resampled = replace(d, X=d.X[idx], y=d.y[idx])
         try:
             return fit_model(model_spec, resampled, h, cfg, init_seed=seed).effective_theta
         except NumericalDivergenceError as e:

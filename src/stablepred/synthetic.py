@@ -9,6 +9,7 @@ import numpy as np
 from scipy.special import expit
 
 from .data import Dataset, FeatureGraph, make_dataset
+from .objectives import _require_int
 
 __all__ = ["SyntheticSpec", "DEFAULT_SPEC", "generate", "make_group_graph"]
 
@@ -33,14 +34,18 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_samples < 1 or self.n_groups < 1 or self.group_size < 1:
-            raise ValueError("counts must be positive")
-        if self.n_informative_groups < 0 or self.n_informative_groups > self.n_groups:
+        for name in ("n_samples", "n_groups", "group_size"):
+            _require_int(name, getattr(self, name), 1)
+        _require_int("n_informative_groups", self.n_informative_groups, 0)
+        _require_int("seed", self.seed, 0)
+        if self.n_informative_groups > self.n_groups:
             raise ValueError("n_informative_groups must lie in [0, n_groups]")
         if not 0.0 <= self.label_noise < 0.5:
             raise ValueError("label_noise must lie in [0, 0.5)")
-        if self.within_group_noise < 0:
-            raise ValueError("within_group_noise must be >= 0")
+        if not 0 <= self.within_group_noise < np.inf:  # NaN fails both comparisons
+            raise ValueError("within_group_noise must be >= 0 and finite")
+        if not np.isfinite(self.true_weight_scale):
+            raise ValueError("true_weight_scale must be finite")
 
     @property
     def n_features(self) -> int:

@@ -281,6 +281,58 @@ class TestStandardize:
         assert s.standardized
 
 
+    # rejected before any statistic is computed, so without numpy's warnings
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("cells, message", [
+        ([[np.inf, 1.0], [0.0, 2.0]], "non-finite value inf at row 0, column 'f0'"),
+        ([[0.0, 1.0], [3.0, np.nan]], "non-finite value nan at row 1, column 'f1'"),
+    ], ids=["inf", "nan"])
+    def test_non_finite_cell_rejected(self, cells, message):
+        with np.errstate(invalid="ignore"):  # make_dataset keeps non-finite cells
+            d = make_dataset(cells, y=[1, -1])
+        with pytest.raises(ValueError, match=message):
+            standardize(d)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_standardize_like_rejects_non_finite_cell(self):
+        ref = make_dataset([[0.0, 1.0], [2.0, 3.0]])
+        with np.errstate(invalid="ignore"):
+            d = make_dataset([[0.0, 1.0], [-np.inf, 2.0]])
+        with pytest.raises(ValueError, match="non-finite value -inf at row 1, column 'f0'"):
+            standardize_like(d, ref)
+
+
+def same_bytes(a, b):
+    return a is b is None or np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestDerivedCohorts:
+    """Standardized and aligned copies change only what their derivation names."""
+
+    def test_standardize_like_itself_equals_standardize(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            m, n = rng.integers(1, 30), rng.integers(1, 8)
+            X = rng.normal(rng.normal(size=n), rng.exponential(size=n), size=(m, n))
+            X[:, rng.random(n) < 0.2] = rng.normal()  # constant columns become zeros
+            y = np.where(rng.random(m) < 0.5, 1.0, -1.0) if rng.random() < 0.5 else None
+            d = make_dataset(X, y=y)
+            names = sorted(rng.choice(d.feature_names, size=rng.integers(1, n + 1), replace=False))
+            idx = [d.feature_names.index(c) for c in names]
+            s, like = standardize(d), standardize_like(d, d)
+            aligned = align_common_features(d, make_dataset(np.zeros((1, len(names))),
+                                                            feature_names=names))[0]
+            assert s.X.tobytes() == like.X.tobytes()
+            for c in (s, like):
+                assert c.standardized and c.feature_names == d.feature_names
+                assert all(same_bytes(getattr(c, f), getattr(d, f))
+                           for f in ("y", "raw_mean", "raw_std"))
+            assert not aligned.standardized and aligned.feature_names == tuple(names)
+            assert same_bytes(aligned.X, X[:, idx]) and same_bytes(aligned.y, y)
+            assert same_bytes(aligned.raw_mean, d.raw_mean[idx])
+            assert same_bytes(aligned.raw_std, d.raw_std[idx])
+
+
 class TestAlignCommonFeatures:
     def make(self, names):
         return make_dataset(np.arange(2 * len(names), dtype=float).reshape(2, -1), feature_names=names)

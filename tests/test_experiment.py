@@ -6,6 +6,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +188,20 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="k=12"):
             run_experiment(cfg)
 
+    def test_one_class_validation_rejected_before_any_fit(self, cohort_dir, tmp_path,
+                                                          monkeypatch):
+        d = generate(dataclasses.replace(SPEC, seed=SPEC.seed + 1))
+        path = tmp_path / "positive.csv"
+        write_dataset_csv(make_dataset(d.X, y=np.ones(d.n_samples),
+                                       feature_names=d.feature_names), path)
+
+        def no_fit(*args):
+            raise AssertionError("fitted before the validation cohort was checked")
+
+        monkeypatch.setattr(experiment, "_bootstraps_and_final_fit", no_fit)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: validation cohort must hold")):
+            run_experiment(base_config(cohort_dir, validation_path=str(path)))
+
     def test_report_fields_reproducible_from_modules(self, cohort_dir):
         # the report's CI entry must equal the stability module's own value
         from stablepred.data import load_dataset, standardize
@@ -274,9 +289,11 @@ class TestCompareModels:
         with pytest.raises(ValueError, match="n_bootstraps"):
             compare_models([a, b])
 
-    @pytest.mark.parametrize("field,value", [("top_for_snr", 4), ("selected_tol", 1e-2)])
+    @pytest.mark.parametrize("field,value", [("top_for_snr", 4), ("selected_tol", 1e-2),
+                                             ("label_column", "g0f0")])
     def test_mismatched_reporting_fields_rejected(self, cohort_dir, field, value):
-        # comparison.csv puts snr_above_count and selected_fraction in one column
+        # comparison.csv puts snr_above_count and selected_fraction in one column,
+        # and the same CSVs read with another label column are other cohorts
         with pytest.raises(ValueError, match=field):
             compare_models([base_config(cohort_dir), base_config(cohort_dir, **{field: value})])
 

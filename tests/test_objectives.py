@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from stablepred.data import FeatureGraph, Laplacian, build_laplacian, make_dataset
 from stablepred.objectives import (
@@ -238,6 +239,23 @@ class TestFactorizedLogistic:
         )
         linear = logistic_loss_linear(LinearParams(theta=p.effective_theta(), bias=p.bias), d)
         assert abs(logistic_loss_factorized(p, d) - linear) <= 1e-12
+
+    @staticmethod
+    def chain_rule_oracle(p, d):
+        """The hand-written theta = W^T u chain rule ``logistic_grad_factorized`` once held."""
+        margins = d.y * (d.X @ p.effective_theta() + p.bias)
+        resid = -d.y * expit(-margins) / d.X.shape[0]
+        g_theta = d.X.T @ resid
+        return FactorizedParams(
+            u=p.W @ g_theta, W=np.outer(p.u, g_theta), V=np.zeros_like(p.V),
+            b_W=np.zeros_like(p.b_W), b_V=np.zeros_like(p.b_V), bias=float(resid.sum()),
+        )
+
+    def test_grad_derived_from_joint_objective_keeps_bytes(self):
+        for seed in range(200):
+            d, _, _, fp, _, _ = random_instance(seed)
+            got = logistic_grad_factorized(fp, d).to_vector()
+            assert got.tobytes() == self.chain_rule_oracle(fp, d).to_vector().tobytes(), seed
 
     def test_prediction_invariant_under_rescaling(self):
         # (u, W) -> (c u, W / c) leaves the data term unchanged

@@ -77,6 +77,21 @@ class TestGenerate:
             SyntheticSpec(label_noise=0.5)
 
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_samples", 2.5), ("n_samples", float("nan")), ("n_groups", 2.5),
+        ("group_size", True), ("n_informative_groups", 1.5), ("seed", 2.5), ("seed", -1),
+    ])
+    def test_integer_fields_rejected_with_their_name(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SyntheticSpec(**{field: value})
+
+    @pytest.mark.parametrize("field", ["within_group_noise", "true_weight_scale"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_settings_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SyntheticSpec(**{field: value})
+
+
 class TestMakeGroupGraph:
     def test_two_groups_of_two(self):
         spec = SyntheticSpec(n_groups=2, group_size=2, n_informative_groups=1)
