@@ -210,11 +210,9 @@ def write_dataset_csv(d: Dataset, path, label_column: str = DEFAULT_LABEL_COLUMN
 
 
 def _rescale(d: Dataset, reference: Dataset | None) -> Dataset:
-    """Center ``d`` by a mean and divide by a std, writing 0 where the std is 0.
-
-    The statistics are ``d``'s own column statistics, or the reference
-    cohort's raw ones.  A non-finite cell is rejected with its row and column.
-    """
+    """Center ``d`` by a mean and divide by a std, writing 0 where the std is 0:
+    ``d``'s own column statistics, or else the reference cohort's raw ones.
+    A non-finite cell is rejected with its row and column."""
     if d.standardized:
         raise ValueError("dataset is already standardized")
     if reference is not None and d.feature_names != reference.feature_names:
