@@ -96,9 +96,17 @@ def make_dataset(
         X=X,
         y=y,
         raw_mean=X.mean(axis=0),
-        raw_std=X.std(axis=0),
+        raw_std=_column_std(X),
         standardized=False,
     )
+
+
+def _column_std(X: np.ndarray) -> np.ndarray:
+    """Population std per column, exactly 0 where every cell equals the first:
+    a constant column's rounded mean can differ from its value by an ulp."""
+    std = X.std(axis=0)
+    std[(X == X[:1]).all(axis=0)] = 0.0
+    return std
 
 
 def load_dataset(path, label_column: str | None = None) -> Dataset:
@@ -212,7 +220,8 @@ def write_dataset_csv(d: Dataset, path, label_column: str = DEFAULT_LABEL_COLUMN
 def _rescale(d: Dataset, reference: Dataset | None) -> Dataset:
     """Center ``d`` by a mean and divide by a std, writing 0 where the std is 0:
     ``d``'s own column statistics, or else the reference cohort's raw ones.
-    A non-finite cell is rejected with its row and column."""
+    A non-finite cell is rejected with its row and column, and a non-finite
+    reference statistic with its column."""
     if d.standardized:
         raise ValueError("dataset is already standardized")
     if reference is not None and d.feature_names != reference.feature_names:
@@ -221,9 +230,13 @@ def _rescale(d: Dataset, reference: Dataset | None) -> Dataset:
         i, j = np.argwhere(~np.isfinite(d.X))[0]
         raise ValueError(f"non-finite value {d.X[i, j]} at row {i}, column {d.feature_names[j]!r}")
     if reference is None:
-        mean, std = d.X.mean(axis=0), d.X.std(axis=0)
+        mean, std = d.X.mean(axis=0), _column_std(d.X)
     else:
         mean, std = reference.raw_mean, reference.raw_std
+        for name, stat in (("raw_mean", mean), ("raw_std", std)):
+            if not np.isfinite(stat).all():
+                j = np.flatnonzero(~np.isfinite(stat))[0]
+                raise ValueError(f"reference {name} is {stat[j]} at column {d.feature_names[j]!r}")
     centered = d.X - mean
     scaled = np.divide(centered, std, out=np.zeros_like(centered), where=std > 0)
     return replace(d, X=scaled, standardized=True)

@@ -28,7 +28,7 @@ from .data import (
 )
 from .metrics import PredictionSet, auc, best_f_threshold, selected_count
 from .models import ModelSpec, check_model_inputs, fit_model, validate_hyperparams
-from .objectives import HyperParams, _require_int
+from .objectives import HyperParams, _require_int, _require_real
 from .optimizer import OptimizerConfig
 from .stability import (
     _bootstraps_and_final_fit,
@@ -49,6 +49,13 @@ __all__ = [
 ]
 
 SNR_THRESHOLD = 1.96
+
+# Settings objects nested in a config or report, built from their JSON objects.
+_SETTINGS = {"hyperparams": HyperParams, "optimizer": OptimizerConfig}
+
+
+def _with_settings(payload: dict) -> dict:
+    return {**payload, **{k: cls(**payload[k]) for k, cls in _SETTINGS.items() if k in payload}}
 
 
 @dataclass(frozen=True)
@@ -86,24 +93,17 @@ class ExperimentConfig:
         for k in self.k_list:
             _require_int("k_list entries", k, 1)
         _require_int("top_for_snr", self.top_for_snr, 1)
-        if not 0 < self.selected_tol < np.inf:  # NaN fails both comparisons
-            raise ValueError("selected_tol must be > 0")
+        _require_real("selected_tol", self.selected_tol, 0.0, strict=True)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
-        data = dict(payload)
-        if "hyperparams" in data:
-            data["hyperparams"] = HyperParams(**data["hyperparams"])
-        if "optimizer" in data:
-            data["optimizer"] = OptimizerConfig(**data["optimizer"])
+        data = _with_settings(payload)
         if "k_list" in data:
             data["k_list"] = tuple(data["k_list"])
         return cls(**data)
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["k_list"] = list(self.k_list)
-        return out
+        return asdict(self)  # json writes k_list's tuple as a list
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -111,10 +111,8 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
 
-# Report fields held as tuples of rows, written as lists of keyed objects; and
-# fields held as sorted (name, value) pairs, written as objects.
+# Report fields held as tuples of rows, written as lists of keyed objects.
 _REPORT_ROWS = {"ci_curve": ("k", "mean_ci"), "snr_top": ("rank", "feature", "snr")}
-_REPORT_MAPPINGS = ("hyperparams", "optimizer")
 
 
 @dataclass(frozen=True)
@@ -142,35 +140,21 @@ class StabilityReport:
     mean_weights: tuple[float, ...]
     importance: tuple[float, ...]
     dropped_graph_edges: int
-    hyperparams: tuple[tuple[str, object], ...]
-    optimizer: tuple[tuple[str, object], ...]
+    hyperparams: HyperParams
+    optimizer: OptimizerConfig
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name in _REPORT_ROWS:
-                value = [dict(zip(_REPORT_ROWS[f.name], row)) for row in value]
-            elif f.name in _REPORT_MAPPINGS:
-                value = dict(value)
-            elif isinstance(value, tuple):
-                value = list(value)
-            out[f.name] = value
+        out = asdict(self)  # json writes tuples as lists
+        for name, keys in _REPORT_ROWS.items():
+            out[name] = [dict(zip(keys, row)) for row in out[name]]
         return out
 
     @classmethod
     def from_dict(cls, payload: dict) -> "StabilityReport":
-        kwargs = {}
-        for f in fields(cls):
-            value = payload[f.name]
-            if f.name in _REPORT_ROWS:
-                value = tuple(tuple(row[key] for key in _REPORT_ROWS[f.name]) for row in value)
-            elif f.name in _REPORT_MAPPINGS:
-                value = tuple(sorted(value.items()))
-            elif isinstance(value, list):
-                value = tuple(value)
-            kwargs[f.name] = value
-        return cls(**kwargs)
+        kwargs = _with_settings({f.name: payload[f.name] for f in fields(cls)})
+        for name, keys in _REPORT_ROWS.items():
+            kwargs[name] = [tuple(row[key] for key in keys) for row in kwargs[name]]
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in kwargs.items()})
 
     @classmethod
     def from_json(cls, path) -> "StabilityReport":
@@ -276,8 +260,8 @@ def run_experiment(cfg: ExperimentConfig) -> StabilityReport:
         mean_weights=tuple(float(v) for v in ensemble.weights.mean(axis=0)),
         importance=tuple(float(v) for v in ranking.importance),
         dropped_graph_edges=dropped_edges,
-        hyperparams=tuple(sorted(asdict(cfg.hyperparams).items())),
-        optimizer=tuple(sorted(asdict(cfg.optimizer).items())),
+        hyperparams=cfg.hyperparams,
+        optimizer=cfg.optimizer,
     )
 
 

@@ -33,22 +33,15 @@ def _require_both_classes(p: PredictionSet) -> None:
 def auc(p: PredictionSet) -> float:
     """Probability that a positive outscores a negative, ties counting 0.5.
 
-    Computed from midranks in O(M log M); equals the fraction of
-    (positive, negative) pairs won, plus half the ties.
+    The Mann-Whitney count of (positive, negative) pairs won plus half the
+    ties, over the number of pairs; O(M log M) from the sorted scores.
     """
     _require_both_classes(p)
-    pos = p.labels > 0
-    n_pos = int(pos.sum())
-    n_neg = len(p.labels) - n_pos
-    # midranks: 1-based ranks, tied scores sharing their mean rank; they are
-    # half-integers, so they and their sums are exact in float64
-    order = np.argsort(p.scores, kind="stable")
-    s = p.scores[order]
-    starts = np.flatnonzero(np.concatenate([[True], s[1:] != s[:-1]]))
-    ends = np.append(starts[1:], len(s))
-    ranks = np.empty(len(s))
-    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
-    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    pos, neg = np.sort(p.scores[p.labels > 0]), np.sort(p.scores[p.labels < 0])
+    # per positive: negatives below it, twice, plus negatives equal to it; the
+    # count is an integer, so its half is exact in float64
+    twice = np.searchsorted(neg, pos, "left").sum() + np.searchsorted(neg, pos, "right").sum()
+    return float(twice / 2.0 / (len(pos) * len(neg)))
 
 
 def best_f_threshold(p: PredictionSet) -> tuple[float, float]:

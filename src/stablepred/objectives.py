@@ -18,7 +18,7 @@ these two.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.special import expit
@@ -145,21 +145,27 @@ class HyperParams:
     l1_epsilon: float = 1e-10
 
     def __post_init__(self):
-        if not 0 <= self.alpha < np.inf:  # NaN fails both comparisons
-            raise ValueError("alpha must be >= 0")
-        if not 0.0 <= self.lambda_en <= 1.0:
+        for name in ("alpha", "lambda_en", "lambda_fg", "lambda_ae", "lambda_l2"):
+            _require_real(name, getattr(self, name), 0.0)
+        if self.lambda_en > 1.0:
             raise ValueError("lambda_en must lie in [0, 1]")
-        if not all(0 <= w < np.inf for w in (self.lambda_fg, self.lambda_ae, self.lambda_l2)):
-            raise ValueError("penalty weights must be >= 0")
         _require_int("hidden_units", self.hidden_units, 1)
-        if not 0 < self.l1_epsilon < np.inf:
-            raise ValueError("l1_epsilon must be > 0")
+        _require_real("l1_epsilon", self.l1_epsilon, 0.0, strict=True)
 
 
 def _require_int(name: str, value, low: int) -> None:
     """Reject anything but an integer >= ``low``: NaN, fractions and bools too."""
     if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _require_real(name: str, value, low: float = -np.inf, *, strict: bool = False) -> None:
+    """Reject anything but a finite real number >= ``low`` (> ``low`` when
+    ``strict``): NaN, infinities, bools and strings too."""
+    if (isinstance(value, bool) or not isinstance(value, Real) or not -np.inf < value < np.inf
+            or value < low or (strict and value == low)):
+        bound = f"{'>' if strict else '>='} {low:g} and " if low > -np.inf else ""
+        raise ValueError(f"{name} must be {bound}finite, got {value!r}")
 
 
 def _require_labeled(d: Dataset) -> None:
@@ -301,10 +307,8 @@ def logistic_loss_linear(p: LinearParams, d: Dataset) -> float:
 
 def lasso_penalty(theta: np.ndarray, alpha: float, eps: float) -> float:
     """Smoothed L1 penalty alpha * sum sqrt(theta_i^2 + eps)."""
-    if not 0 <= alpha < np.inf:  # NaN fails both comparisons
-        raise ValueError("alpha must be >= 0")
-    if not 0 < eps < np.inf:
-        raise ValueError("eps must be > 0")
+    _require_real("alpha", alpha, 0.0)
+    _require_real("eps", eps, 0.0, strict=True)
     return _l1(theta, alpha, eps)[0]
 
 
@@ -379,8 +383,7 @@ def ae_l2_penalty(p: FactorizedParams, lambda_l2: float) -> float:
 
     u and the predictor bias are not penalized.
     """
-    if not 0 <= lambda_l2 < np.inf:  # NaN fails both comparisons
-        raise ValueError("lambda_l2 must be >= 0")
+    _require_real("lambda_l2", lambda_l2, 0.0)
     return _l2_value(lambda_l2, p.W, p.V, p.b_W, p.b_V)
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import FactorizedParams, _require_int
+from .objectives import FactorizedParams, _require_int, _require_real
 
 __all__ = [
     "OptimizerConfig",
@@ -54,10 +54,10 @@ class OptimizerConfig:
 
     def __post_init__(self):
         _require_int("max_iters", self.max_iters, 1)
-        if not 0 < self.learning_rate < math.inf:  # NaN fails both comparisons
-            raise ValueError("learning_rate must be > 0")
-        if not 0 < self.rel_tol < math.inf:
-            raise ValueError("rel_tol must be > 0")
+        _require_real("learning_rate", self.learning_rate, 0.0, strict=True)
+        if not isinstance(self.adaptive, bool):
+            raise ValueError(f"adaptive must be a bool, got {self.adaptive!r}")
+        _require_real("rel_tol", self.rel_tol, 0.0, strict=True)
         _require_int("seed", self.seed, 0)
 
 

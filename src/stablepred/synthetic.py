@@ -9,7 +9,7 @@ import numpy as np
 from scipy.special import expit
 
 from .data import Dataset, FeatureGraph, make_dataset
-from .objectives import _require_int
+from .objectives import _require_int, _require_real
 
 __all__ = ["SyntheticSpec", "DEFAULT_SPEC", "generate", "make_group_graph"]
 
@@ -40,12 +40,11 @@ class SyntheticSpec:
         _require_int("seed", self.seed, 0)
         if self.n_informative_groups > self.n_groups:
             raise ValueError("n_informative_groups must lie in [0, n_groups]")
-        if not 0.0 <= self.label_noise < 0.5:
+        _require_real("label_noise", self.label_noise, 0.0)
+        if self.label_noise >= 0.5:
             raise ValueError("label_noise must lie in [0, 0.5)")
-        if not 0 <= self.within_group_noise < np.inf:  # NaN fails both comparisons
-            raise ValueError("within_group_noise must be >= 0 and finite")
-        if not np.isfinite(self.true_weight_scale):
-            raise ValueError("true_weight_scale must be finite")
+        _require_real("within_group_noise", self.within_group_noise, 0.0)
+        _require_real("true_weight_scale", self.true_weight_scale)
 
     @property
     def n_features(self) -> int:

@@ -1,6 +1,7 @@
 """Dataset loading, standardization, alignment, and Laplacian construction."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from stablepred.data import (
     write_dataset_csv,
     write_feature_graph,
 )
+from stablepred.stability import BootstrapEnsemble, feature_importance
 from stablepred.synthetic import SyntheticSpec, generate
 
 
@@ -300,6 +302,41 @@ class TestStandardize:
             d = make_dataset([[0.0, 1.0], [-np.inf, 2.0]])
         with pytest.raises(ValueError, match="non-finite value -inf at row 1, column 'f0'"):
             standardize_like(d, ref)
+
+    @pytest.mark.parametrize("value, m", [(1.1, 200), (0.1, 3), (-2.7, 41)])
+    def test_constant_column_without_binary_form_becomes_zeros(self, value, m):
+        # the column's rounded mean differs from its value by an ulp; its std
+        # used to come out a few ulps, not 0, and the column standardized to +-1
+        X = np.column_stack([np.full(m, value), np.arange(m, dtype=float)])
+        d = make_dataset(X)
+        assert d.raw_std[0] == 0.0 and d.raw_std[1] == X[:, 1].std()
+        assert np.all(standardize(d).X[:, 0] == 0.0)
+        validation = make_dataset(np.column_stack([np.full(4, value + 0.1), np.arange(4.0)]))
+        assert np.all(standardize_like(validation, d).X[:, 0] == 0.0)
+        ensemble = BootstrapEnsemble(weights=np.ones((2, 2)), seeds=(0, 1), model_tag="t")
+        assert feature_importance(ensemble, d.raw_std).importance[0] == 0.0
+
+    # rejected before any statistic is applied, so without numpy's warnings
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_standardize_like_rejects_a_reference_column_holding_inf(self):
+        # raw mean inf and raw std nan used to erase the cohort's column to zeros
+        with np.errstate(invalid="ignore"):  # make_dataset keeps non-finite cells
+            ref = make_dataset([[np.inf, 1.0], [0.0, 3.0]])
+        with pytest.raises(ValueError, match="reference raw_mean is inf at column 'f0'"):
+            standardize_like(make_dataset([[1.0, 2.0], [5.0, 4.0]]), ref)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("stat, values, message", [
+        ("raw_mean", [1.0, -np.inf], "reference raw_mean is -inf at column 'f1'"),
+        ("raw_std", [1.0, np.nan], "reference raw_std is nan at column 'f1'"),
+        ("raw_std", [np.inf, 1.0], "reference raw_std is inf at column 'f0'"),
+    ])
+    def test_standardize_like_rejects_non_finite_reference_statistic(self, stat, values,
+                                                                     message):
+        # Dataset itself accepts these, as make_dataset keeps non-finite cells
+        ref = replace(make_dataset([[0.0, 1.0], [2.0, 3.0]]), **{stat: np.array(values)})
+        with pytest.raises(ValueError, match=message):
+            standardize_like(make_dataset([[1.0, 2.0], [5.0, 4.0]]), ref)
 
 
 def same_bytes(a, b):

@@ -146,6 +146,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="k_list entries must be an integer >= 1, got 2.5"):
             ExperimentConfig.from_json(path)
 
+    @pytest.mark.parametrize("value", [True, "0.001"])
+    def test_selected_tol_bools_and_strings_rejected(self, cohort_dir, value):
+        with pytest.raises(ValueError, match=f"selected_tol must be > 0 and finite, got {value!r}"):
+            base_config(cohort_dir, selected_tol=value)
+
+    def test_integer_adaptive_in_config_file_rejected(self, cohort_dir, tmp_path):
+        # adaptive: 0 used to run plain gradient steps and be echoed as 0 in report.json
+        payload = base_config(cohort_dir).to_dict()
+        payload["optimizer"]["adaptive"] = 0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match="adaptive must be a bool, got 0"):
+            ExperimentConfig.from_json(path)
+
     def test_config_json_roundtrip(self, cohort_dir, tmp_path):
         cfg = base_config(cohort_dir)
         path = tmp_path / "cfg.json"
@@ -248,6 +262,63 @@ class TestEmitReport:
         a = (tmp_path / "a" / "report.json").read_bytes()
         b = (tmp_path / "b" / "report.json").read_bytes()
         assert a == b
+
+
+_ROWS = {"ci_curve": ("k", "mean_ci"), "snr_top": ("rank", "feature", "snr")}
+
+
+def per_field_report_dict(report):
+    """Oracle: the per-field loop report.json's object was built with when the
+    report held its settings as sorted (name, value) pairs; here the pairs are
+    read off the settings objects."""
+    out = {}
+    for f in dataclasses.fields(report):
+        value = getattr(report, f.name)
+        if f.name in _ROWS:
+            value = [dict(zip(_ROWS[f.name], row)) for row in value]
+        elif f.name in ("hyperparams", "optimizer"):
+            value = dict(sorted(dataclasses.asdict(value).items()))
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[f.name] = value
+    return out
+
+
+class TestSerializationThroughFields:
+    """report.json and config JSON are written through the dataclass fields."""
+
+    AG = dict(model="ag-lasso-autoencoder-graph",
+              hyperparams=HyperParams(alpha=0.02, lambda_ae=5.0, lambda_l2=1e-3,
+                                      lambda_fg=0.05, hidden_units=3))
+
+    def configs(self, cohort_dir):
+        paths = dict(graph_path=str(cohort_dir / "graph.tsv"),
+                     augment_path=str(cohort_dir / "augment.csv"))
+        return [
+            base_config(cohort_dir),
+            base_config(cohort_dir, k_list=(2, 5, 8), selected_tol=0.01, label_column="label",
+                        output_dir="out", optimizer=OptimizerConfig(adaptive=False, seed=3)),
+            base_config(cohort_dir, **self.AG, **paths),
+        ]
+
+    @pytest.mark.parametrize("which", [0, 2])
+    def test_report_bytes_and_round_trip(self, cohort_dir, tmp_path, which):
+        cfg = self.configs(cohort_dir)[which]
+        report = run_experiment(cfg)
+        emit_report(report, tmp_path)
+        expected = json.dumps(per_field_report_dict(report), indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "report.json").read_bytes() == expected.encode("utf-8")
+        back = StabilityReport.from_json(tmp_path / "report.json")
+        assert back == report
+        assert back.hyperparams == cfg.hyperparams and back.optimizer == cfg.optimizer
+        assert isinstance(back.ci_curve, tuple) and isinstance(back.ci_curve[0], tuple)
+
+    def test_config_json_bytes(self, cohort_dir):
+        for cfg in self.configs(cohort_dir):
+            old = dataclasses.asdict(cfg)  # the to_dict of earlier versions
+            old["k_list"] = list(cfg.k_list)
+            assert json.dumps(cfg.to_dict(), indent=2) == json.dumps(old, indent=2)
+            assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
 class TestCompareModels:

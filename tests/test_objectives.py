@@ -155,9 +155,9 @@ class TestElasticNet:
 class TestHyperParams:
     MESSAGES = {
         "alpha": "alpha must be >= 0",
-        "lambda_fg": "penalty weights must be >= 0",
-        "lambda_ae": "penalty weights must be >= 0",
-        "lambda_l2": "penalty weights must be >= 0",
+        "lambda_fg": "lambda_fg must be >= 0",
+        "lambda_ae": "lambda_ae must be >= 0",
+        "lambda_l2": "lambda_l2 must be >= 0",
         "l1_epsilon": "l1_epsilon must be > 0",
     }
 
@@ -165,6 +165,13 @@ class TestHyperParams:
     @pytest.mark.parametrize("field", MESSAGES)
     def test_nan_and_inf_rejected(self, field, value):
         with pytest.raises(ValueError, match=self.MESSAGES[field]):
+            HyperParams(**{field: value})
+
+    @pytest.mark.parametrize("value", [True, "0.1"])
+    @pytest.mark.parametrize("field", [*MESSAGES, "lambda_en"])
+    def test_bools_and_strings_rejected_with_the_field_name(self, field, value):
+        # True used to count as 1, and "0.1" failed with an unnamed TypeError
+        with pytest.raises(ValueError, match=f"{field} must be .* got {value!r}"):
             HyperParams(**{field: value})
 
     @pytest.mark.parametrize("value", [math.nan, 2.5, 0, True])

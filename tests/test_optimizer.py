@@ -212,3 +212,15 @@ class TestOptimizerConfig:
         # a NaN rel_tol never stops a fit; a config file can carry one (json reads NaN)
         with pytest.raises(ValueError, match=f"{field} must be > 0"):
             OptimizerConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [True, "0.1"])
+    @pytest.mark.parametrize("field", ["learning_rate", "rel_tol"])
+    def test_bools_and_strings_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be > 0 and finite, got {value!r}"):
+            OptimizerConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_adaptive_must_be_a_bool(self, value):
+        # "false" is truthy and ran Adam; 0 ran plain steps and was echoed as 0
+        with pytest.raises(ValueError, match=f"adaptive must be a bool, got {value!r}"):
+            OptimizerConfig(adaptive=value)

@@ -91,6 +91,12 @@ class TestGenerate:
         with pytest.raises(ValueError, match=field):
             SyntheticSpec(**{field: value})
 
+    @pytest.mark.parametrize("field", ["within_group_noise", "true_weight_scale", "label_noise"])
+    @pytest.mark.parametrize("value", [True, "0.1"])
+    def test_bools_and_strings_rejected_with_their_name(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be .*finite, got {value!r}"):
+            SyntheticSpec(**{field: value})
+
 
 class TestMakeGroupGraph:
     def test_two_groups_of_two(self):
