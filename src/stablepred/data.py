@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,21 @@ __all__ = [
 
 DEFAULT_LABEL_COLUMN = "label"
 GRAPH_HEADER = ("name_a", "name_b", "weight")
+
+
+def _require_int(name: str, value, low: int) -> None:
+    """Reject anything but an integer >= ``low``: NaN, fractions and bools too."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _require_real(name: str, value, low: float = -np.inf, *, strict: bool = False) -> None:
+    """Reject anything but a finite real number >= ``low`` (> ``low`` when
+    ``strict``): NaN, infinities, bools and strings too."""
+    if (isinstance(value, bool) or not isinstance(value, Real) or not -np.inf < value < np.inf
+            or value < low or (strict and value == low)):
+        bound = f"{'>' if strict else '>='} {low:g} and " if low > -np.inf else ""
+        raise ValueError(f"{name} must be {bound}finite, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,8 +304,7 @@ class FeatureGraph:
         for a, b, w in self.edges:
             if a == b:
                 raise ValueError(f"self-loop on {a!r}")
-            if not 0 <= w < np.inf:  # NaN fails both comparisons
-                raise ValueError(f"edge weight {w} on ({a!r}, {b!r}) is negative or non-finite")
+            _require_real(f"edge ({a!r}, {b!r}) weight", w, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,10 +312,6 @@ class Laplacian:
     """Unnormalized graph Laplacian L = D - A over an ordered feature list."""
 
     matrix: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
 
 
 def build_laplacian(g: FeatureGraph, feature_names) -> Laplacian:

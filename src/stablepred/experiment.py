@@ -19,6 +19,8 @@ import numpy as np
 from .data import (
     Dataset,
     FeatureGraph,
+    _require_int,
+    _require_real,
     align_common_features,
     build_laplacian,
     load_dataset,
@@ -28,7 +30,7 @@ from .data import (
 )
 from .metrics import PredictionSet, auc, best_f_threshold, selected_count
 from .models import ModelSpec, check_model_inputs, fit_model, validate_hyperparams
-from .objectives import HyperParams, _require_int, _require_real
+from .objectives import HyperParams
 from .optimizer import OptimizerConfig
 from .stability import (
     _bootstraps_and_final_fit,

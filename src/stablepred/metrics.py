@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _require_real
+
 __all__ = ["PredictionSet", "auc", "best_f_threshold", "selected_count"]
 
 
@@ -81,7 +83,6 @@ def best_f_threshold(p: PredictionSet) -> tuple[float, float]:
 
 def selected_count(theta: np.ndarray, tol: float = 1e-6) -> tuple[int, float]:
     """How many weights exceed ``tol`` in magnitude, and that count over N."""
-    if not 0 < tol < np.inf:  # NaN fails both comparisons
-        raise ValueError("tol must be > 0")
+    _require_real("tol", tol, 0.0, strict=True)
     count = int(np.sum(np.abs(theta) > tol))
     return count, count / theta.size

@@ -23,41 +23,33 @@ __all__ = [
     "fit_model",
 ]
 
-MODEL_NAMES = (
-    "lasso",
-    "elastic-net",
-    "lasso-graph",
-    "lasso-autoencoder",
-    "lasso-autoencoder-graph",
-    "ag-lasso-autoencoder-graph",
-)
+# name: (the penalty weights it consumes, whether it takes an augment cohort);
+# a model takes a feature graph iff it consumes lambda_fg, and is factorized iff lambda_ae
+_MODELS = {
+    "lasso": ((), False),
+    "elastic-net": (("lambda_en",), False),
+    "lasso-graph": (("lambda_fg",), False),
+    "lasso-autoencoder": (("lambda_ae", "lambda_l2"), False),
+    "lasso-autoencoder-graph": (("lambda_fg", "lambda_ae", "lambda_l2"), False),
+    "ag-lasso-autoencoder-graph": (("lambda_fg", "lambda_ae", "lambda_l2"), True),
+}
+_INACTIVE = {"lambda_en": 1.0, "lambda_fg": 0.0, "lambda_ae": 0.0, "lambda_l2": 0.0}
 
-GRAPH_MODELS = frozenset(
-    {"lasso-graph", "lasso-autoencoder-graph", "ag-lasso-autoencoder-graph"}
-)
-AUTOENCODER_MODELS = frozenset(
-    {"lasso-autoencoder", "lasso-autoencoder-graph", "ag-lasso-autoencoder-graph"}
-)
-AUGMENTED_MODELS = frozenset({"ag-lasso-autoencoder-graph"})
+MODEL_NAMES = tuple(_MODELS)
+GRAPH_MODELS = frozenset(m for m, (weights, _) in _MODELS.items() if "lambda_fg" in weights)
+AUTOENCODER_MODELS = frozenset(m for m, (weights, _) in _MODELS.items() if "lambda_ae" in weights)
+AUGMENTED_MODELS = frozenset(m for m, (_, augmented) in _MODELS.items() if augmented)
 
 
 def validate_hyperparams(model: str, h: HyperParams) -> None:
-    """Reject hyperparameters that the chosen model cannot consume.
-
-    A knob is inapplicable when set away from its inactive value:
-    lambda_en != 1 outside elastic-net, lambda_fg != 0 outside graph models,
-    lambda_ae/lambda_l2 != 0 outside autoencoder models.
-    """
-    if model not in MODEL_NAMES:
+    """Reject a penalty weight set away from its ``_INACTIVE`` value for a
+    model that does not consume it, naming the first such weight."""
+    if model not in _MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODEL_NAMES}")
-    if h.lambda_en != 1.0 and model != "elastic-net":
-        raise ValueError(f"lambda_en={h.lambda_en} is inapplicable to model {model!r}")
-    if h.lambda_fg != 0.0 and model not in GRAPH_MODELS:
-        raise ValueError(f"lambda_fg={h.lambda_fg} is inapplicable to model {model!r}")
-    if h.lambda_ae != 0.0 and model not in AUTOENCODER_MODELS:
-        raise ValueError(f"lambda_ae={h.lambda_ae} is inapplicable to model {model!r}")
-    if h.lambda_l2 != 0.0 and model not in AUTOENCODER_MODELS:
-        raise ValueError(f"lambda_l2={h.lambda_l2} is inapplicable to model {model!r}")
+    for weight, inactive in _INACTIVE.items():
+        value = getattr(h, weight)
+        if value != inactive and weight not in _MODELS[model][0]:
+            raise ValueError(f"{weight}={value} is inapplicable to model {model!r}")
 
 
 def check_model_inputs(

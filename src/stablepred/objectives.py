@@ -18,12 +18,11 @@ these two.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from numbers import Integral, Real
 
 import numpy as np
 from scipy.special import expit
 
-from .data import Dataset, Laplacian
+from .data import Dataset, Laplacian, _require_int, _require_real
 
 __all__ = [
     "LinearParams",
@@ -151,21 +150,6 @@ class HyperParams:
             raise ValueError("lambda_en must lie in [0, 1]")
         _require_int("hidden_units", self.hidden_units, 1)
         _require_real("l1_epsilon", self.l1_epsilon, 0.0, strict=True)
-
-
-def _require_int(name: str, value, low: int) -> None:
-    """Reject anything but an integer >= ``low``: NaN, fractions and bools too."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-
-
-def _require_real(name: str, value, low: float = -np.inf, *, strict: bool = False) -> None:
-    """Reject anything but a finite real number >= ``low`` (> ``low`` when
-    ``strict``): NaN, infinities, bools and strings too."""
-    if (isinstance(value, bool) or not isinstance(value, Real) or not -np.inf < value < np.inf
-            or value < low or (strict and value == low)):
-        bound = f"{'>' if strict else '>='} {low:g} and " if low > -np.inf else ""
-        raise ValueError(f"{name} must be {bound}finite, got {value!r}")
 
 
 def _require_labeled(d: Dataset) -> None:

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import FactorizedParams, _require_int, _require_real
+from .data import _require_int, _require_real
+from .objectives import FactorizedParams
 
 __all__ = [
     "OptimizerConfig",

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _require_int, _require_real
 from .models import ModelSpec, fit_model
 from .objectives import HyperParams
 from .optimizer import NumericalDivergenceError, OptimizerConfig
@@ -105,6 +105,8 @@ def _bootstraps_and_final_fit(final_fit, d, model_spec, h, cfg, n_bootstraps, ba
     """
     if not d.labeled:
         raise ValueError("bootstrap training requires a labeled dataset")
+    _require_int("n_bootstraps", n_bootstraps, 0)
+    _require_int("base_seed", base_seed, 0)
     if n_bootstraps < 2:
         raise ValueError("at least 2 bootstraps are required for stability statistics")
     m = d.n_samples
@@ -227,7 +229,8 @@ def top_k_subsets(e: BootstrapEnsemble, raw_std: np.ndarray, k: int) -> SubsetFa
     Ties at the k-th score go to the smaller feature indices, so each set is
     the first k of that row's stable descending order, found in O(B*d).
     """
-    if not 1 <= k < e.n_features:
+    _require_int("k", k, 1)
+    if k >= e.n_features:
         raise ValueError(f"k must satisfy 1 <= k < {e.n_features}")
     _check_raw_std(raw_std, e.n_features)
     scores = np.abs(e.weights)
@@ -311,6 +314,8 @@ def snr_above(
     threshold: float = 1.96,
 ) -> int:
     """Count of the ``top`` ranked features with |SNR| at or above ``threshold``."""
+    _require_int("top", top, 1)
+    _require_real("threshold", threshold)
     if top > e.n_features:
         raise ValueError("top exceeds the feature count")
     values = np.abs(snr(e))

@@ -8,8 +8,7 @@ from itertools import combinations
 import numpy as np
 from scipy.special import expit
 
-from .data import Dataset, FeatureGraph, make_dataset
-from .objectives import _require_int, _require_real
+from .data import Dataset, FeatureGraph, _require_int, _require_real, make_dataset
 
 __all__ = ["SyntheticSpec", "DEFAULT_SPEC", "generate", "make_group_graph"]
 

@@ -445,7 +445,7 @@ class TestLaplacian:
             FeatureGraph(edges=(("a", "a", 1.0),))
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
+        with pytest.raises(ValueError, match=r"edge \('a', 'b'\) weight must be >= 0 and finite"):
             FeatureGraph(edges=(("a", "b", -0.5),))
 
     def test_graph_tsv_roundtrip(self, tmp_path):
@@ -456,7 +456,13 @@ class TestLaplacian:
 
     @pytest.mark.parametrize("w", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_weight_rejected(self, w):
-        with pytest.raises(ValueError, match=r"edge weight .* \('a', 'b'\) is negative or non-finite"):
+        with pytest.raises(ValueError, match=r"edge \('a', 'b'\) weight must be >= 0 and finite"):
+            FeatureGraph(edges=(("a", "b", w),))
+
+    @pytest.mark.parametrize("w", [True, "1"])
+    def test_bool_and_string_weight_rejected(self, w):
+        # a bool used to be taken as 1.0, and a string failed the comparison
+        with pytest.raises(ValueError, match=rf"edge \('a', 'b'\) weight .*, got {w!r}$"):
             FeatureGraph(edges=(("a", "b", w),))
 
     @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity", "-2"])

@@ -293,6 +293,12 @@ class TestSelectedCount:
         with pytest.raises(ValueError, match="tol must be > 0"):
             selected_count(np.ones(3), tol=tol)
 
+    @pytest.mark.parametrize("tol", [True, "0.1"])
+    def test_bool_and_string_tol_rejected(self, tol):
+        # True used to be taken as a tolerance of 1
+        with pytest.raises(ValueError, match=f"tol must be > 0 and finite, got {tol!r}"):
+            selected_count(np.ones(3), tol)
+
     def test_heavily_penalized_fit_is_sparse_at_default_tol(self):
         # a dominant L1 weight pins every coordinate near zero; small plain
         # gradient steps settle at the stationary point below the tolerance

@@ -33,6 +33,30 @@ KNOB_GRID = [
 ]
 
 
+class TestModelSets:
+    # literal pins: every other test reads these sets as its oracle
+    def test_names_in_order(self):
+        assert MODEL_NAMES == (
+            "lasso",
+            "elastic-net",
+            "lasso-graph",
+            "lasso-autoencoder",
+            "lasso-autoencoder-graph",
+            "ag-lasso-autoencoder-graph",
+        )
+
+    def test_capability_sets(self):
+        assert GRAPH_MODELS == {
+            "lasso-graph", "lasso-autoencoder-graph", "ag-lasso-autoencoder-graph"
+        }
+        assert AUTOENCODER_MODELS == {
+            "lasso-autoencoder", "lasso-autoencoder-graph", "ag-lasso-autoencoder-graph"
+        }
+        assert AUGMENTED_MODELS == {"ag-lasso-autoencoder-graph"}
+        for models in (GRAPH_MODELS, AUTOENCODER_MODELS, AUGMENTED_MODELS):
+            assert isinstance(models, frozenset)
+
+
 class TestValidateHyperparams:
     def test_neutral_settings_accepted_everywhere(self):
         for model in MODEL_NAMES:
@@ -51,6 +75,16 @@ class TestValidateHyperparams:
     def test_unknown_model(self):
         with pytest.raises(ValueError, match="unknown model"):
             validate_hyperparams("ridge", HyperParams())
+
+    @pytest.mark.parametrize("model,assignment,first", [
+        ("lasso", {"lambda_fg": 0.1, "lambda_ae": 1.0}, "lambda_fg=0.1"),
+        ("lasso-graph", {"lambda_en": 0.5, "lambda_ae": 1.0}, "lambda_en=0.5"),
+        ("elastic-net", {"lambda_ae": 1.0, "lambda_l2": 0.1}, "lambda_ae=1.0"),
+    ])
+    def test_first_inapplicable_weight_is_named(self, model, assignment, first):
+        # weights are checked in the order lambda_en, lambda_fg, lambda_ae, lambda_l2
+        with pytest.raises(ValueError, match=f"^{first} is inapplicable to model '{model}'$"):
+            validate_hyperparams(model, HyperParams(**assignment))
 
 
 class TestModelSpec:

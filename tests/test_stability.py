@@ -287,6 +287,13 @@ class TestTopKSubsets:
         with pytest.raises(ValueError):
             top_k_subsets(e, np.ones(3), 3)
 
+    @pytest.mark.parametrize("k", [2.5, True, 0])
+    def test_k_must_be_a_positive_integer(self, k):
+        # 2.5 and True used to fail inside numpy without naming k
+        e = ensemble_from(np.ones((2, 6)))
+        with pytest.raises(ValueError, match=f"k must be an integer >= 1, got {k!r}"):
+            top_k_subsets(e, np.ones(6), k)
+
     def test_reduces_to_importance_order_for_single_bootstrap(self):
         rng = np.random.default_rng(9)
         weights = rng.standard_normal((1, 12))
@@ -379,6 +386,22 @@ class TestSnrAbove:
         ranking = feature_importance(e, np.ones(5))
         assert snr_above(e, ranking, top=5) == 2
 
+    @pytest.mark.parametrize("top", [-1, 0, True, 2.0])
+    def test_top_must_be_a_positive_integer(self, top):
+        # top=-1 used to count every feature but the last, and True one feature
+        e = ensemble_from([[1.0, 2.0], [1.0, 2.0]])
+        ranking = feature_importance(e, np.ones(2))
+        with pytest.raises(ValueError, match=f"top must be an integer >= 1, got {top!r}"):
+            snr_above(e, ranking, top=top)
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, True])
+    def test_threshold_must_be_finite(self, threshold):
+        # a NaN threshold used to count no feature
+        e = ensemble_from([[1.0, 2.0], [1.0, 2.0]])
+        ranking = feature_importance(e, np.ones(2))
+        with pytest.raises(ValueError, match=f"threshold must be finite, got {threshold!r}"):
+            snr_above(e, ranking, top=2, threshold=threshold)
+
 
 class TestRunBootstraps:
     def small_data(self, seed=0, m=40, n=6):
@@ -432,6 +455,17 @@ class TestRunBootstraps:
             run_bootstraps(unlabeled, ModelSpec("lasso"), HyperParams(), self.cfg(), 2, 0)
         with pytest.raises(ValueError, match="at least 2"):
             run_bootstraps(d, ModelSpec("lasso"), HyperParams(), self.cfg(), 1, 0)
+
+    @pytest.mark.parametrize("n_bootstraps,base_seed,named", [
+        (2.5, 0, "n_bootstraps must be an integer"),
+        (2, 1.5, "base_seed must be an integer >= 0, got 1.5"),
+        (2, -1, "base_seed must be an integer >= 0, got -1"),
+    ])
+    def test_counts_and_seeds_are_named(self, n_bootstraps, base_seed, named):
+        # these used to fail in numpy or range() without naming the argument
+        d, spec = self.small_data(), ModelSpec("lasso")
+        with pytest.raises(ValueError, match=named):
+            run_bootstraps(d, spec, HyperParams(), self.cfg(), n_bootstraps, base_seed)
 
     def test_divergence_names_bootstrap_and_iteration(self):
         # a step of 1e300 overflows the weights, so the first loss is non-finite
