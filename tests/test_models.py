@@ -79,6 +79,7 @@ class TestValidateHyperparams:
     @pytest.mark.parametrize("model,assignment,first", [
         ("lasso", {"lambda_fg": 0.1, "lambda_ae": 1.0}, "lambda_fg=0.1"),
         ("lasso-graph", {"lambda_en": 0.5, "lambda_ae": 1.0}, "lambda_en=0.5"),
+        ("lasso", {"lambda_en": 0.5, "lambda_fg": 0.1}, "lambda_en=0.5"),
         ("elastic-net", {"lambda_ae": 1.0, "lambda_l2": 0.1}, "lambda_ae=1.0"),
     ])
     def test_first_inapplicable_weight_is_named(self, model, assignment, first):
