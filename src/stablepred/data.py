@@ -44,6 +44,11 @@ def _require_real(name: str, value, low: float = -np.inf, *, strict: bool = Fals
         raise ValueError(f"{name} must be {bound}finite, got {value!r}")
 
 
+def _require_labeled(d: Dataset) -> None:
+    if not d.labeled:
+        raise ValueError("dataset has no labels")
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Sample-major feature matrix with named columns and optional +/-1 labels.
@@ -304,7 +309,10 @@ class FeatureGraph:
         for a, b, w in self.edges:
             if a == b:
                 raise ValueError(f"self-loop on {a!r}")
-            _require_real(f"edge ({a!r}, {b!r}) weight", w, 0.0)
+            try:  # the edge is named only on failure: graphs run to thousands of edges
+                _require_real("weight", w, 0.0)
+            except ValueError as e:
+                raise ValueError(f"edge ({a!r}, {b!r}) {e}") from None
 
 
 @dataclass(frozen=True, eq=False)

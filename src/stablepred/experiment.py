@@ -96,6 +96,8 @@ class ExperimentConfig:
             _require_int("k_list entries", k, 1)
         _require_int("top_for_snr", self.top_for_snr, 1)
         _require_real("selected_tol", self.selected_tol, 0.0, strict=True)
+        if not isinstance(self.label_column, str):
+            raise ValueError(f"label_column must be a string, got {self.label_column!r}")
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
@@ -198,8 +200,6 @@ def run_experiment(cfg: ExperimentConfig) -> StabilityReport:
     leaves a worker idle, else after the pool in this process.
     """
     train, validation, augment = _load_cohorts(cfg)
-    if not train.labeled or not validation.labeled:
-        raise ValueError("train and validation cohorts must be labeled")
     if len(np.unique(validation.y)) < 2:
         raise ValueError(f"{cfg.validation_path}: validation cohort must hold both classes")
     n = train.n_features

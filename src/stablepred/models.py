@@ -9,7 +9,7 @@ import numpy as np
 from .data import Dataset, Laplacian
 from . import objectives as obj
 from .objectives import HyperParams, LinearParams
-from .optimizer import FitResult, OptimizerConfig, init_params, minimize_vector
+from .optimizer import FitResult, OptimizerConfig, init_params, minimize
 
 __all__ = [
     "MODEL_NAMES",
@@ -41,11 +41,15 @@ AUTOENCODER_MODELS = frozenset(m for m, (weights, _) in _MODELS.items() if "lamb
 AUGMENTED_MODELS = frozenset(m for m, (_, augmented) in _MODELS.items() if augmented)
 
 
+def _require_model(model: str) -> None:
+    if model not in _MODELS:
+        raise ValueError(f"unknown model {model!r}; expected one of {MODEL_NAMES}")
+
+
 def validate_hyperparams(model: str, h: HyperParams) -> None:
     """Reject a penalty weight set away from its ``_INACTIVE`` value for a
     model that does not consume it, naming the first such weight."""
-    if model not in _MODELS:
-        raise ValueError(f"unknown model {model!r}; expected one of {MODEL_NAMES}")
+    _require_model(model)
     for weight, inactive in _INACTIVE.items():
         value = getattr(h, weight)
         if value != inactive and weight not in _MODELS[model][0]:
@@ -57,6 +61,7 @@ def check_model_inputs(
 ) -> None:
     """Reject a feature graph or augment cohort that ``model`` needs and lacks,
     or has and does not take; ``fields`` names their config fields in the message."""
+    _require_model(model)
     rules = ((has_graph, GRAPH_MODELS, "a feature-graph Laplacian", "a Laplacian"),
              (has_augment, AUGMENTED_MODELS, "an augment cohort", "an augment cohort"))
     for (given, needing, required, rejected), field in zip(rules, fields):
@@ -74,8 +79,6 @@ class ModelSpec:
     augment: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.name not in MODEL_NAMES:
-            raise ValueError(f"unknown model {self.name!r}")
         check_model_inputs(self.name, self.laplacian is not None, self.augment is not None)
 
 
@@ -100,8 +103,6 @@ def fit_model(
     initialization (``init_seed`` defaults to the optimizer seed).
     """
     validate_hyperparams(spec.name, h)
-    if not d.labeled:
-        raise ValueError("model fitting requires a labeled dataset")
     seed = cfg.seed if init_seed is None else init_seed
 
     if spec.name in AUTOENCODER_MODELS:
@@ -111,7 +112,7 @@ def fit_model(
         init = LinearParams(theta=np.zeros(d.n_features), bias=0.0)
         value_and_grad = obj.linear_objective(d, h, spec.laplacian)
 
-    result = minimize_vector(value_and_grad, init.to_vector(), cfg)
+    result = minimize(value_and_grad, init.to_vector(), cfg)
     params = result.params = init.with_vector(result.params)
     return ModelFit(
         effective_theta=params.effective_theta(),

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import expit
 
-from .data import Dataset, Laplacian, _require_int, _require_real
+from .data import Dataset, Laplacian, _require_int, _require_labeled, _require_real
 
 __all__ = [
     "LinearParams",
@@ -150,11 +150,6 @@ class HyperParams:
             raise ValueError("lambda_en must lie in [0, 1]")
         _require_int("hidden_units", self.hidden_units, 1)
         _require_real("l1_epsilon", self.l1_epsilon, 0.0, strict=True)
-
-
-def _require_labeled(d: Dataset) -> None:
-    if not d.labeled:
-        raise ValueError("dataset has no labels")
 
 
 def _check_laplacian(lap: Laplacian, n: int) -> None:

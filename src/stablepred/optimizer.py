@@ -16,7 +16,6 @@ __all__ = [
     "NumericalDivergenceError",
     "init_params",
     "minimize",
-    "minimize_vector",
 ]
 
 _BETA1 = 0.9
@@ -95,7 +94,7 @@ def init_params(n: int, k: int, seed: int) -> FactorizedParams:
     )
 
 
-def minimize_vector(value_and_grad, x0: np.ndarray, cfg: OptimizerConfig) -> FitResult:
+def minimize(value_and_grad, x0: np.ndarray, cfg: OptimizerConfig) -> FitResult:
     """Minimize from the flat vector ``x0``; ``params`` of the result is the final vector.
 
     ``value_and_grad(x)`` returns the loss and its gradient at ``x`` from one
@@ -143,26 +142,3 @@ def minimize_vector(value_and_grad, x0: np.ndarray, cfg: OptimizerConfig) -> Fit
         converged=converged,
         loss_trace=trace,
     )
-
-
-def _flat(p) -> np.ndarray:
-    return p.to_vector() if hasattr(p, "to_vector") else np.asarray(p, dtype=float)
-
-
-def minimize(objective, gradient, init, cfg: OptimizerConfig) -> FitResult:
-    """Minimize ``objective`` starting from ``init``.
-
-    ``init`` may be a plain array or any parameter object exposing
-    ``to_vector``/``with_vector`` (LinearParams, FactorizedParams);
-    ``objective`` and ``gradient`` are called with that same type.
-    An adapter onto ``minimize_vector``, with the same divergence reports.
-    """
-    unpack = getattr(init, "with_vector", lambda vec: vec)
-
-    def value_and_grad(vec):
-        p = unpack(vec)
-        return float(objective(p)), _flat(gradient(p))
-
-    result = minimize_vector(value_and_grad, _flat(init), cfg)
-    result.params = unpack(result.params)
-    return result

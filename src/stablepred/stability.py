@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, _require_int, _require_real
+from .data import Dataset, _require_int, _require_labeled, _require_real
 from .models import ModelSpec, fit_model
 from .objectives import HyperParams
 from .optimizer import NumericalDivergenceError, OptimizerConfig
@@ -103,12 +103,9 @@ def _bootstraps_and_final_fit(final_fit, d, model_spec, h, cfg, n_bootstraps, ba
     ``final_fit`` runs as the pool's last job when that fills a slot idle in
     the bootstraps' last round, else here after the pool, with every BLAS thread.
     """
-    if not d.labeled:
-        raise ValueError("bootstrap training requires a labeled dataset")
-    _require_int("n_bootstraps", n_bootstraps, 0)
+    _require_labeled(d)
+    _require_int("n_bootstraps", n_bootstraps, 2)
     _require_int("base_seed", base_seed, 0)
-    if n_bootstraps < 2:
-        raise ValueError("at least 2 bootstraps are required for stability statistics")
     m = d.n_samples
 
     def fit(b: int) -> np.ndarray:

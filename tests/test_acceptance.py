@@ -119,7 +119,12 @@ def test_criterion_5_autoencoder_sanity():
     p0 = init_params(d.n_features, DEFAULT_SPEC.n_groups, seed=1)
     initial = ae_loss(p0, d.X)
     cfg = OptimizerConfig(max_iters=4000, learning_rate=0.02, rel_tol=1e-9, seed=1)
-    res = minimize(lambda p: ae_loss(p, d.X), lambda p: ae_grad(p, d.X), p0, cfg)
+
+    def value_and_grad(v):
+        p = p0.with_vector(v)
+        return ae_loss(p, d.X), ae_grad(p, d.X).to_vector()
+
+    res = minimize(value_and_grad, p0.to_vector(), cfg)
     elapsed = time.monotonic() - start
     assert res.final_loss <= initial / 10.0, (
         f"reconstruction {res.final_loss:.4f} vs initial {initial:.4f}"

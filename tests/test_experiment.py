@@ -160,6 +160,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="adaptive must be a bool, got 0"):
             ExperimentConfig.from_json(path)
 
+    def test_label_column_must_be_a_string(self, cohort_dir):
+        with pytest.raises(ValueError, match="label_column must be a string, got None"):
+            base_config(cohort_dir, label_column=None)
+
+    def test_null_label_column_in_config_file_rejected(self, cohort_dir, tmp_path):
+        # null used to load both cohorts unlabeled and fail only after reading them
+        payload = base_config(cohort_dir).to_dict()
+        payload["label_column"] = None
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match="label_column must be a string, got None"):
+            ExperimentConfig.from_json(path)
+
     def test_config_json_roundtrip(self, cohort_dir, tmp_path):
         cfg = base_config(cohort_dir)
         path = tmp_path / "cfg.json"

@@ -89,6 +89,13 @@ class TestValidateHyperparams:
 
 
 class TestModelSpec:
+    def test_unknown_model_message_matches_validate_hyperparams(self):
+        with pytest.raises(ValueError, match="unknown model 'ridge'; expected one of") as spec:
+            ModelSpec("ridge")
+        with pytest.raises(ValueError) as hyper:
+            validate_hyperparams("ridge", HyperParams())
+        assert str(spec.value) == str(hyper.value)
+
     def test_graph_requirements(self):
         d = generate(SPEC)
         lap = build_laplacian(make_group_graph(SPEC), d.feature_names)
@@ -161,7 +168,7 @@ class TestFitModel:
         from stablepred.data import make_dataset
 
         unlabeled = make_dataset(self.train.X)
-        with pytest.raises(ValueError, match="labeled"):
+        with pytest.raises(ValueError, match="dataset has no labels"):
             fit_model(ModelSpec("lasso"), unlabeled, HyperParams(), self.cfg)
 
     def test_large_alpha_sparser_than_small(self):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from stablepred.data import make_dataset
-from stablepred.objectives import HyperParams, LinearParams, lasso_grad, lasso_loss
+from stablepred.objectives import HyperParams, LinearParams, joint_objective, linear_objective
 from stablepred.optimizer import (
     NumericalDivergenceError,
     OptimizerConfig,
@@ -18,11 +18,7 @@ from stablepred.optimizer import (
 
 
 def quadratic(x):
-    return float((x[0] - 3.0) ** 2)
-
-
-def quadratic_grad(x):
-    return np.array([2.0 * (x[0] - 3.0)])
+    return float((x[0] - 3.0) ** 2), np.array([2.0 * (x[0] - 3.0)])
 
 
 def toy_problem(seed=0, m=4, n=3, alpha=0.05):
@@ -63,14 +59,13 @@ class TestInitParams:
 class TestMinimize:
     def test_quadratic_reaches_minimum(self):
         cfg = OptimizerConfig(max_iters=3000, learning_rate=0.05, rel_tol=1e-12, seed=0)
-        res = minimize(quadratic, quadratic_grad, np.array([0.0]), cfg)
+        res = minimize(quadratic, np.array([0.0]), cfg)
         assert abs(res.params[0] - 3.0) < 1e-4
 
     def test_descent_on_convex_toy(self):
         d, h = toy_problem()
         cfg = OptimizerConfig(max_iters=300, learning_rate=0.05, seed=0)
-        init = LinearParams(theta=np.zeros(d.n_features), bias=0.0)
-        res = minimize(lambda p: lasso_loss(p, d, h), lambda p: lasso_grad(p, d, h), init, cfg)
+        res = minimize(linear_objective(d, h), np.zeros(d.n_features + 1), cfg)
         assert res.final_loss <= res.loss_trace[0]
         assert res.final_loss == res.loss_trace[-1]
 
@@ -78,19 +73,17 @@ class TestMinimize:
         d, h = toy_problem(seed=5)
         cfg = OptimizerConfig(max_iters=200, learning_rate=0.02, seed=7)
         init = LinearParams(theta=np.zeros(d.n_features), bias=0.0)
-        runs = [
-            minimize(lambda p: lasso_loss(p, d, h), lambda p: lasso_grad(p, d, h), init, cfg)
-            for _ in range(2)
-        ]
-        assert runs[0].params.theta.tobytes() == runs[1].params.theta.tobytes()
-        assert runs[0].params.bias == runs[1].params.bias
+        runs = [minimize(linear_objective(d, h), init.to_vector(), cfg) for _ in range(2)]
+        fits = [init.with_vector(r.params) for r in runs]
+        assert fits[0].theta.tobytes() == fits[1].theta.tobytes()
+        assert fits[0].bias == fits[1].bias
         assert runs[0].loss_trace == runs[1].loss_trace
         assert runs[0].iterations_used == runs[1].iterations_used
         assert runs[0].converged == runs[1].converged
 
     def test_converged_flag_matches_rel_tol(self):
         cfg = OptimizerConfig(max_iters=5000, learning_rate=0.05, rel_tol=1e-9, seed=0)
-        res = minimize(quadratic, quadratic_grad, np.array([0.0]), cfg)
+        res = minimize(quadratic, np.array([0.0]), cfg)
         assert res.converged
         assert res.iterations_used < 5000
         last, prev = res.loss_trace[-1], res.loss_trace[-2]
@@ -98,11 +91,11 @@ class TestMinimize:
 
     def test_non_finite_loss_reports_iteration(self):
         def bad_loss(x):
-            return float("inf") if x[0] != 0.0 else 1.0
+            return float("inf") if x[0] != 0.0 else 1.0, np.array([1.0])
 
         cfg = OptimizerConfig(max_iters=50, learning_rate=1.0, seed=0)
         with pytest.raises(NumericalDivergenceError) as exc:
-            minimize(bad_loss, lambda x: np.array([1.0]), np.array([0.0]), cfg)
+            minimize(bad_loss, np.array([0.0]), cfg)
         assert exc.value.iteration == 1
 
     @pytest.mark.parametrize("clone", [lambda e: pickle.loads(pickle.dumps(e)), copy.copy])
@@ -116,39 +109,38 @@ class TestMinimize:
     def test_non_finite_gradient_reports_consuming_iteration(self):
         # the gradient at x_1 is non-finite; step 2 is the one that uses it
         def bad_grad(x):
-            return np.array([1.0 if x[0] == 0.0 else np.nan])
+            return quadratic(x)[0], np.array([1.0 if x[0] == 0.0 else np.nan])
 
         cfg = OptimizerConfig(max_iters=50, learning_rate=1.0, seed=0)
         with pytest.raises(NumericalDivergenceError, match="gradient at iteration 2") as exc:
-            minimize(quadratic, bad_grad, np.array([0.0]), cfg)
+            minimize(bad_grad, np.array([0.0]), cfg)
         assert exc.value.iteration == 2
 
     def test_non_finite_gradient_never_stepped_with_is_not_reported(self):
         def bad_grad(x):
-            return np.array([1.0 if x[0] == 0.0 else np.inf])
+            return quadratic(x)[0], np.array([1.0 if x[0] == 0.0 else np.inf])
 
         cfg = OptimizerConfig(max_iters=1, learning_rate=1.0, seed=0)
-        res = minimize(quadratic, bad_grad, np.array([0.0]), cfg)
+        res = minimize(bad_grad, np.array([0.0]), cfg)
         assert res.iterations_used == 1 and not res.converged
         assert len(res.loss_trace) == 2 and res.final_loss > 9.0
 
     def test_plain_gd_monotone_on_convex(self):
         d, h = toy_problem(seed=2)
         cfg = OptimizerConfig(max_iters=500, learning_rate=1e-4, adaptive=False, seed=0)
-        init = LinearParams(theta=np.zeros(d.n_features), bias=0.0)
-        res = minimize(lambda p: lasso_loss(p, d, h), lambda p: lasso_grad(p, d, h), init, cfg)
+        res = minimize(linear_objective(d, h), np.zeros(d.n_features + 1), cfg)
         trace = np.array(res.loss_trace)
         assert np.all(np.diff(trace) <= 1e-15)
 
     def test_longer_run_changes_little_on_convex(self):
         d, h = toy_problem(seed=3, m=30, n=5)
-        init = LinearParams(theta=np.zeros(d.n_features), bias=0.0)
+        x0 = np.zeros(d.n_features + 1)
         short = minimize(
-            lambda p: lasso_loss(p, d, h), lambda p: lasso_grad(p, d, h), init,
+            linear_objective(d, h), x0,
             OptimizerConfig(max_iters=2000, learning_rate=0.02, rel_tol=1e-10, seed=0),
         )
         long = minimize(
-            lambda p: lasso_loss(p, d, h), lambda p: lasso_grad(p, d, h), init,
+            linear_objective(d, h), x0,
             OptimizerConfig(max_iters=20000, learning_rate=0.02, rel_tol=1e-10, seed=0),
         )
         assert abs(short.final_loss - long.final_loss) < 1e-3
@@ -157,33 +149,29 @@ class TestMinimize:
         # unpenalized, well-conditioned instance: the minimizer is interior
         d, _ = toy_problem(seed=11, m=40, n=3, alpha=0.0)
         h = HyperParams(alpha=0.0)
-        init = LinearParams(theta=np.zeros(3), bias=0.0)
+        value_and_grad = linear_objective(d, h)
         res = minimize(
-            lambda p: lasso_loss(p, d, h), lambda p: lasso_grad(p, d, h), init,
+            value_and_grad, np.zeros(4),
             OptimizerConfig(max_iters=20000, learning_rate=0.05, rel_tol=1e-13, seed=0),
         )
-        g = lasso_grad(res.params, d, h).to_vector()
+        _, g = value_and_grad(res.params)
         assert np.linalg.norm(g) < 1e-3
 
     def test_factorized_gradient_vanishes_at_converged_fixed_point(self):
         # all penalties off, non-separable data: convergence of the
         # factorized logistic fit lands where its gradient is tiny
-        from stablepred.objectives import joint_grad, joint_loss
-        from stablepred.optimizer import init_params
-
         d, _ = toy_problem(seed=13, m=60, n=4, alpha=0.0)
         h = HyperParams(alpha=0.0, lambda_ae=0.0, lambda_l2=0.0, hidden_units=2,
                         l1_epsilon=1e-8)
         init = init_params(4, 2, seed=1)
+        value_and_grad = joint_objective(d, None, h)
         res = minimize(
-            lambda p: joint_loss(p, d, None, h),
-            lambda p: joint_grad(p, d, None, h),
-            init,
+            value_and_grad, init.to_vector(),
             OptimizerConfig(max_iters=30000, learning_rate=0.02, rel_tol=1e-14, seed=0),
         )
         # V and the encoder biases never receive gradient here; check the
         # live blocks (u, W, bias) against the optimizer's own tolerance
-        g = joint_grad(res.params, d, None, h)
+        g = init.with_vector(value_and_grad(res.params)[1])
         live = np.concatenate([g.u, g.W.ravel(), [g.bias]])
         assert np.linalg.norm(live) < 1e-4
 

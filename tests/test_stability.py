@@ -451,9 +451,9 @@ class TestRunBootstraps:
     def test_requires_labels_and_b(self):
         d = self.small_data()
         unlabeled = make_dataset(d.X)
-        with pytest.raises(ValueError, match="labeled"):
+        with pytest.raises(ValueError, match="dataset has no labels"):
             run_bootstraps(unlabeled, ModelSpec("lasso"), HyperParams(), self.cfg(), 2, 0)
-        with pytest.raises(ValueError, match="at least 2"):
+        with pytest.raises(ValueError, match="n_bootstraps must be an integer >= 2, got 1"):
             run_bootstraps(d, ModelSpec("lasso"), HyperParams(), self.cfg(), 1, 0)
 
     @pytest.mark.parametrize("n_bootstraps,base_seed,named", [
