@@ -10,7 +10,6 @@ estimation stability (signal-to-noise ratio).
 from .data import (
     Dataset,
     FeatureGraph,
-    Laplacian,
     align_common_features,
     build_laplacian,
     load_dataset,

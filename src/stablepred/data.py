@@ -13,7 +13,6 @@ import numpy as np
 __all__ = [
     "Dataset",
     "FeatureGraph",
-    "Laplacian",
     "make_dataset",
     "load_dataset",
     "write_dataset_csv",
@@ -29,10 +28,13 @@ DEFAULT_LABEL_COLUMN = "label"
 GRAPH_HEADER = ("name_a", "name_b", "weight")
 
 
-def _require_int(name: str, value, low: int) -> None:
-    """Reject anything but an integer >= ``low``: NaN, fractions and bools too."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+def _require_int(name: str, value, low: int, high: int | None = None) -> None:
+    """Reject anything but an integer in [``low``, ``high``] (>= ``low`` when
+    ``high`` is None): NaN, fractions and bools too."""
+    if (isinstance(value, bool) or not isinstance(value, Integral) or value < low
+            or (high is not None and value > high)):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
 def _require_real(name: str, value, low: float = -np.inf, *, strict: bool = False) -> None:
@@ -315,15 +317,9 @@ class FeatureGraph:
                 raise ValueError(f"edge ({a!r}, {b!r}) {e}") from None
 
 
-@dataclass(frozen=True, eq=False)
-class Laplacian:
-    """Unnormalized graph Laplacian L = D - A over an ordered feature list."""
-
-    matrix: np.ndarray
-
-
-def build_laplacian(g: FeatureGraph, feature_names) -> Laplacian:
-    """Build L = D - A for ``g`` over the given column order.
+def build_laplacian(g: FeatureGraph, feature_names) -> np.ndarray:
+    """The unnormalized graph Laplacian L = D - A of ``g``, an n x n array
+    over the given column order.
 
     Every edge endpoint must resolve to a feature name; weights of repeated
     edges accumulate.  Features without edges contribute zero rows.
@@ -340,8 +336,7 @@ def build_laplacian(g: FeatureGraph, feature_names) -> Laplacian:
         i, j = index[a], index[b]
         adj[i, j] += w
         adj[j, i] += w
-    lap = np.diag(adj.sum(axis=1)) - adj
-    return Laplacian(matrix=lap)
+    return np.diag(adj.sum(axis=1)) - adj
 
 
 def load_feature_graph(path) -> FeatureGraph:
@@ -361,6 +356,8 @@ def load_feature_graph(path) -> FeatureGraph:
         for i, row in enumerate(reader):
             if len(row) != 3:
                 raise ValueError(f"{path}: row {i + 2} has {len(row)} fields, expected 3")
+            if row[0] == row[1]:
+                raise ValueError(f"{path}: self-loop on {row[0]!r} at row {i + 2}")
             try:
                 w = float(row[2])
             except ValueError:

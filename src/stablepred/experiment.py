@@ -60,6 +60,11 @@ def _with_settings(payload: dict) -> dict:
     return {**payload, **{k: cls(**payload[k]) for k, cls in _SETTINGS.items() if k in payload}}
 
 
+# ExperimentConfig's string fields, each mapped to whether it may be null.
+_STRING_FIELDS = {"train_path": False, "validation_path": False, "label_column": False,
+                  "augment_path": True, "graph_path": True, "output_dir": True}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One stability experiment: cohort paths, model choice, and settings.
@@ -89,20 +94,23 @@ class ExperimentConfig:
             self.model, self.graph_path is not None, self.augment_path is not None,
             fields=("graph_path", "augment_path"),
         )
+        for name, nullable in _STRING_FIELDS.items():
+            value = getattr(self, name)
+            if not isinstance(value, str) and not (nullable and value is None):
+                raise ValueError(f"{name} must be a string{' or null' * nullable}, got {value!r}")
         _require_int("n_bootstraps", self.n_bootstraps, 2)
-        if not self.k_list:
-            raise ValueError("k_list must not be empty")
+        if not isinstance(self.k_list, tuple) or not self.k_list:
+            raise ValueError(f"k_list must be a non-empty tuple (a list in JSON), "
+                             f"got {self.k_list!r}")
         for k in self.k_list:
             _require_int("k_list entries", k, 1)
         _require_int("top_for_snr", self.top_for_snr, 1)
         _require_real("selected_tol", self.selected_tol, 0.0, strict=True)
-        if not isinstance(self.label_column, str):
-            raise ValueError(f"label_column must be a string, got {self.label_column!r}")
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
         data = _with_settings(payload)
-        if "k_list" in data:
+        if isinstance(data.get("k_list"), list):
             data["k_list"] = tuple(data["k_list"])
         return cls(**data)
 
@@ -204,10 +212,8 @@ def run_experiment(cfg: ExperimentConfig) -> StabilityReport:
         raise ValueError(f"{cfg.validation_path}: validation cohort must hold both classes")
     n = train.n_features
     for k in cfg.k_list:
-        if k >= n:
-            raise ValueError(f"subset size k={k} must be < {n} features")
-    if cfg.top_for_snr > n:
-        raise ValueError(f"top_for_snr={cfg.top_for_snr} exceeds {n} features")
+        _require_int("k_list entries", k, 1, n - 1)
+    _require_int("top_for_snr", cfg.top_for_snr, 1, n)
 
     lap, dropped_edges = _build_laplacian_for(cfg, train)
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Laplacian
+from .data import Dataset
 from . import objectives as obj
 from .objectives import HyperParams, LinearParams
 from .optimizer import FitResult, OptimizerConfig, init_params, minimize
@@ -75,7 +75,7 @@ class ModelSpec:
     """A model name plus the structures it needs (Laplacian, augment rows)."""
 
     name: str
-    laplacian: Laplacian | None = None
+    laplacian: np.ndarray | None = None
     augment: np.ndarray | None = None
 
     def __post_init__(self):
@@ -113,7 +113,7 @@ def fit_model(
         value_and_grad = obj.linear_objective(d, h, spec.laplacian)
 
     result = minimize(value_and_grad, init.to_vector(), cfg)
-    params = result.params = init.with_vector(result.params)
+    params = init.with_vector(result.params)
     return ModelFit(
         effective_theta=params.effective_theta(),
         bias=params.bias,

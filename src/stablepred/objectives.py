@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import expit
 
-from .data import Dataset, Laplacian, _require_int, _require_labeled, _require_real
+from .data import Dataset, _require_int, _require_labeled, _require_real
 
 __all__ = [
     "LinearParams",
@@ -152,9 +152,9 @@ class HyperParams:
         _require_real("l1_epsilon", self.l1_epsilon, 0.0, strict=True)
 
 
-def _check_laplacian(lap: Laplacian, n: int) -> None:
-    if lap.matrix.shape != (n, n):
-        raise ValueError(f"Laplacian is {lap.matrix.shape} but theta has {n} entries")
+def _check_laplacian(lap: np.ndarray, n: int) -> None:
+    if lap.shape != (n, n):
+        raise ValueError(f"Laplacian is {lap.shape} but theta has {n} entries")
 
 
 def _validate_augment(d: Dataset, aug: np.ndarray | None) -> None:
@@ -180,7 +180,7 @@ def _l1(theta: np.ndarray, alpha: float, eps: float):
     return float(alpha * np.sum(root)), alpha * theta / root
 
 
-def _penalized(d: Dataset, h: HyperParams, lap: Laplacian | None):
+def _penalized(d: Dataset, h: HyperParams, lap: np.ndarray | None):
     """``f(theta, bias) -> (loss, g_theta, g_bias)``: the penalty stack on theta."""
     _require_labeled(d)
     if lap is not None:
@@ -197,7 +197,7 @@ def _penalized(d: Dataset, h: HyperParams, lap: Laplacian | None):
             loss += l2_weight * float(np.sum(theta**2))
             g_theta += 2.0 * l2_weight * theta
         if lap is not None:
-            lap_theta = lap.matrix @ theta
+            lap_theta = lap @ theta
             loss += 0.5 * h.lambda_fg * float(theta @ lap_theta)
             g_theta += h.lambda_fg * lap_theta
         return loss, g_theta, g_bias
@@ -224,7 +224,7 @@ def _l2_value(lambda_l2: float, W, V, b_W, b_V) -> float:
     return float(lambda_l2 * (np.sum(W**2) + np.sum(V**2) + np.sum(b_W**2) + np.sum(b_V**2)))
 
 
-def linear_objective(d: Dataset, h: HyperParams, lap: Laplacian | None = None):
+def linear_objective(d: Dataset, h: HyperParams, lap: np.ndarray | None = None):
     """``value_and_grad(vec) -> (loss, grad)`` over [theta, bias]: lasso and
     elastic-net, or lasso-graph with a Laplacian."""
     f = _penalized(d, h, lap)
@@ -237,7 +237,7 @@ def linear_objective(d: Dataset, h: HyperParams, lap: Laplacian | None = None):
 
 
 def joint_objective(d: Dataset, aug: np.ndarray | None, h: HyperParams,
-                    lap: Laplacian | None = None):
+                    lap: np.ndarray | None = None):
     """Fused ``joint_loss``/``joint_grad`` over the FactorizedParams layout.
 
     The penalty stack is evaluated at theta = W^T u and its theta gradient
@@ -309,18 +309,18 @@ def elastic_net_grad(p: LinearParams, d: Dataset, h: HyperParams) -> LinearParam
     return p.with_vector(linear_objective(d, h)(p.to_vector())[1])
 
 
-def graph_penalty(theta: np.ndarray, lap: Laplacian, lambda_fg: float) -> float:
+def graph_penalty(theta: np.ndarray, lap: np.ndarray, lambda_fg: float) -> float:
     """Quadratic form (lambda_fg / 2) theta^T L theta over the feature graph."""
     _check_laplacian(lap, theta.size)
-    return 0.5 * lambda_fg * float(theta @ (lap.matrix @ theta))
+    return 0.5 * lambda_fg * float(theta @ (lap @ theta))
 
 
-def lasso_graph_loss(p: LinearParams, d: Dataset, h: HyperParams, lap: Laplacian) -> float:
+def lasso_graph_loss(p: LinearParams, d: Dataset, h: HyperParams, lap: np.ndarray) -> float:
     """Lasso objective with the feature-graph quadratic form added."""
     return linear_objective(d, replace(h, lambda_en=1.0), lap)(p.to_vector())[0]
 
 
-def lasso_graph_grad(p: LinearParams, d: Dataset, h: HyperParams, lap: Laplacian) -> LinearParams:
+def lasso_graph_grad(p: LinearParams, d: Dataset, h: HyperParams, lap: np.ndarray) -> LinearParams:
     return p.with_vector(linear_objective(d, replace(h, lambda_en=1.0), lap)(p.to_vector())[1])
 
 
@@ -367,7 +367,7 @@ def ae_l2_penalty(p: FactorizedParams, lambda_l2: float) -> float:
 
 
 def joint_loss(p: FactorizedParams, d: Dataset, aug: np.ndarray | None, h: HyperParams,
-               lap: Laplacian | None = None) -> float:
+               lap: np.ndarray | None = None) -> float:
     """Factorized logistic loss jointly regularized by reconstruction.
 
     Sum of the penalty stack of ``linear_objective`` at theta = W^T u (with a
@@ -379,6 +379,6 @@ def joint_loss(p: FactorizedParams, d: Dataset, aug: np.ndarray | None, h: Hyper
 
 
 def joint_grad(p: FactorizedParams, d: Dataset, aug: np.ndarray | None, h: HyperParams,
-               lap: Laplacian | None = None) -> FactorizedParams:
+               lap: np.ndarray | None = None) -> FactorizedParams:
     """Analytic gradient of ``joint_loss`` for every parameter block."""
     return p.with_vector(joint_objective(d, aug, h, lap)(p.to_vector())[1])

@@ -63,7 +63,7 @@ class OptimizerConfig:
 
 @dataclass(eq=False)
 class FitResult:
-    params: object
+    params: np.ndarray
     final_loss: float
     iterations_used: int
     converged: bool
@@ -77,8 +77,8 @@ def init_params(n: int, k: int, seed: int) -> FactorizedParams:
     Draw order is W, then V, then u; the same seed reproduces the same
     parameters bit for bit.
     """
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be >= 1")
+    _require_int("n", n, 1)
+    _require_int("k", k, 1)
     rng = np.random.default_rng(seed)
     s = math.sqrt(6.0 / (n + k))
     W = rng.uniform(-s, s, (k, n))

@@ -226,9 +226,7 @@ def top_k_subsets(e: BootstrapEnsemble, raw_std: np.ndarray, k: int) -> SubsetFa
     Ties at the k-th score go to the smaller feature indices, so each set is
     the first k of that row's stable descending order, found in O(B*d).
     """
-    _require_int("k", k, 1)
-    if k >= e.n_features:
-        raise ValueError(f"k must satisfy 1 <= k < {e.n_features}")
+    _require_int("k", k, 1, e.n_features - 1)
     _check_raw_std(raw_std, e.n_features)
     scores = np.abs(e.weights)
     scores *= raw_std  # in place: a fresh B x d temporary costs more than the product
@@ -256,8 +254,7 @@ def consistency_index(s_i: frozenset, s_j: frozenset, d: int) -> float:
     k = len(s_i)
     if len(s_j) != k:
         raise ValueError(f"subsets differ in size: {k} vs {len(s_j)}")
-    if k == 0 or k >= d:
-        raise ValueError(f"subset size must satisfy 0 < k < d, got k={k}, d={d}")
+    _require_int("k", k, 1, d - 1)
     r = len(s_i & s_j)
     return (r * d - k * k) / (k * (d - k))
 
@@ -274,8 +271,7 @@ def mean_consistency(f: SubsetFamily, d: int) -> float:
     b, k = len(f.subsets), f.k
     if b < 2:
         raise ValueError("at least 2 subsets are required")
-    if k == 0 or k >= d:
-        raise ValueError(f"subset size must satisfy 0 < k < d, got k={k}, d={d}")
+    _require_int("k", k, 1, d - 1)
     members = np.fromiter((i for s in f.subsets for i in s), dtype=np.int64, count=b * k)
     if members.min() < 0 or members.max() >= d:
         raise ValueError(f"subset elements must lie in [0, {d})")
@@ -311,9 +307,7 @@ def snr_above(
     threshold: float = 1.96,
 ) -> int:
     """Count of the ``top`` ranked features with |SNR| at or above ``threshold``."""
-    _require_int("top", top, 1)
+    _require_int("top", top, 1, e.n_features)
     _require_real("threshold", threshold)
-    if top > e.n_features:
-        raise ValueError("top exceeds the feature count")
     values = np.abs(snr(e))
     return int(np.sum(values[ranking.order[:top]] >= threshold))

@@ -35,10 +35,8 @@ class SyntheticSpec:
     def __post_init__(self):
         for name in ("n_samples", "n_groups", "group_size"):
             _require_int(name, getattr(self, name), 1)
-        _require_int("n_informative_groups", self.n_informative_groups, 0)
+        _require_int("n_informative_groups", self.n_informative_groups, 0, self.n_groups)
         _require_int("seed", self.seed, 0)
-        if self.n_informative_groups > self.n_groups:
-            raise ValueError("n_informative_groups must lie in [0, n_groups]")
         _require_real("label_noise", self.label_noise, 0.0)
         if self.label_noise >= 0.5:
             raise ValueError("label_noise must lie in [0, 0.5)")

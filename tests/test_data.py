@@ -423,17 +423,17 @@ class TestLaplacian:
     def test_single_edge(self):
         g = FeatureGraph(edges=(("f1", "f2", 1.0),))
         lap = build_laplacian(g, ["f1", "f2"])
-        np.testing.assert_array_equal(lap.matrix, [[1.0, -1.0], [-1.0, 1.0]])
+        np.testing.assert_array_equal(lap, [[1.0, -1.0], [-1.0, 1.0]])
 
     def test_empty_edge_list(self):
         lap = build_laplacian(FeatureGraph(edges=()), ["f1", "f2", "f3"])
-        np.testing.assert_array_equal(lap.matrix, np.zeros((3, 3)))
+        np.testing.assert_array_equal(lap, np.zeros((3, 3)))
 
     def test_constant_vector_in_null_space(self):
         g = FeatureGraph(edges=(("a", "b", 2.0), ("b", "c", 0.5)))
         lap = build_laplacian(g, ["a", "b", "c"])
         theta = np.full(3, 3.7)
-        assert abs(theta @ lap.matrix @ theta) < 1e-12
+        assert abs(theta @ lap @ theta) < 1e-12
 
     def test_unresolvable_endpoint(self):
         g = FeatureGraph(edges=(("a", "nope", 1.0),))
@@ -443,6 +443,13 @@ class TestLaplacian:
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
             FeatureGraph(edges=(("a", "a", 1.0),))
+
+    def test_self_loop_in_tsv_names_path_and_row(self, tmp_path):
+        # the file's self-loop used to read only "self-loop on 'f2'"
+        path = tmp_path / "g.tsv"
+        path.write_text("name_a\tname_b\tweight\nf1\tf2\t1\nf2\tf2\t1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="g.tsv: self-loop on 'f2' at row 3$"):
+            load_feature_graph(path)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError, match=r"edge \('a', 'b'\) weight must be >= 0 and finite"):
@@ -495,7 +502,7 @@ class TestLaplacianProperties:
     @settings(max_examples=60, deadline=None)
     def test_symmetry_and_zero_row_sums(self, case):
         names, g = case
-        lap = build_laplacian(g, names).matrix
+        lap = build_laplacian(g, names)
         np.testing.assert_array_equal(lap, lap.T)
         np.testing.assert_allclose(lap.sum(axis=1), 0.0, atol=1e-9)
 
@@ -503,7 +510,7 @@ class TestLaplacianProperties:
     @settings(max_examples=60, deadline=None)
     def test_positive_semidefinite_probes(self, case, seed):
         names, g = case
-        lap = build_laplacian(g, names).matrix
+        lap = build_laplacian(g, names)
         rng = np.random.default_rng(seed)
         probes = rng.standard_normal((100, len(names)))
         quad = np.einsum("ij,jk,ik->i", probes, lap, probes)

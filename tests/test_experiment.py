@@ -173,6 +173,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="label_column must be a string, got None"):
             ExperimentConfig.from_json(path)
 
+    @pytest.mark.parametrize("field,value,message", [
+        # output_dir: 3 used to fail only after the whole run, naming no field
+        ("output_dir", 3, "output_dir must be a string or null, got 3"),
+        ("train_path", None, "train_path must be a string, got None"),
+        # k_list: 5 used to fail as not iterable, and "20" as the entries '2' and '0'
+        ("k_list", 5, r"k_list must be a non-empty tuple \(a list in JSON\), got 5"),
+        ("k_list", "20", r"k_list must be a non-empty tuple \(a list in JSON\), got '20'"),
+    ], ids=["output_dir-int", "train_path-null", "k_list-int", "k_list-string"])
+    def test_field_types_in_config_file_rejected(self, cohort_dir, tmp_path, field, value,
+                                                 message):
+        payload = base_config(cohort_dir).to_dict()
+        payload[field] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ExperimentConfig.from_json(path)
+
     def test_config_json_roundtrip(self, cohort_dir, tmp_path):
         cfg = base_config(cohort_dir)
         path = tmp_path / "cfg.json"
@@ -212,7 +229,7 @@ class TestRunExperiment:
 
     def test_oversized_k_rejected(self, cohort_dir):
         cfg = base_config(cohort_dir, k_list=(12,))
-        with pytest.raises(ValueError, match="k=12"):
+        with pytest.raises(ValueError, match=r"k_list entries must be an integer in \[1, 11\], got 12"):
             run_experiment(cfg)
 
     def test_one_class_validation_rejected_before_any_fit(self, cohort_dir, tmp_path,

@@ -153,6 +153,13 @@ class TestFitModel:
         fit = fit_model(spec, self.train, h, self.cfg)
         np.testing.assert_array_equal(fit.effective_theta, fit.params.effective_theta())
 
+    def test_result_params_is_the_final_vector(self):
+        # fit_model used to overwrite the optimizer's vector with the parameter object
+        for spec, h in self.variants():
+            fit = fit_model(spec, self.train, h, self.cfg)
+            assert isinstance(fit.result.params, np.ndarray)
+            assert fit.result.params.tobytes() == fit.params.to_vector().tobytes()
+
     def test_deterministic_given_seed(self):
         spec = ModelSpec("lasso-autoencoder")
         h = HyperParams(alpha=0.02, lambda_ae=10.0, hidden_units=3)

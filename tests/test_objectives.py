@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from stablepred.data import FeatureGraph, Laplacian, build_laplacian, make_dataset
+from stablepred.data import FeatureGraph, build_laplacian, make_dataset
 from stablepred.objectives import (
     FactorizedParams,
     HyperParams,
@@ -189,15 +189,15 @@ class TestGraphPenalty:
         assert graph_penalty(np.full(3, 2.5), lap, 3.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_node_value(self):
-        lap = Laplacian(matrix=np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
         assert graph_penalty(np.array([1.0, 0.0]), lap, 2.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_zero_weight(self):
-        lap = Laplacian(matrix=np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
         assert graph_penalty(np.array([5.0, -3.0]), lap, 0.0) == 0.0
 
     def test_dimension_mismatch(self):
-        lap = Laplacian(matrix=np.zeros((3, 3)))
+        lap = np.zeros((3, 3))
         with pytest.raises(ValueError, match="Laplacian"):
             graph_penalty(np.zeros(2), lap, 1.0)
 

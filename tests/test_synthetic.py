@@ -111,7 +111,7 @@ class TestMakeGroupGraph:
         spec = SyntheticSpec(n_groups=3, group_size=4, n_informative_groups=1)
         d = generate(spec)
         lap = build_laplacian(make_group_graph(spec), d.feature_names)
-        eigenvalues = np.linalg.eigvalsh(lap.matrix)
+        eigenvalues = np.linalg.eigvalsh(lap)
         assert int(np.sum(np.abs(eigenvalues) < 1e-8)) == spec.n_groups
 
 
