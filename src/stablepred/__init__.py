@@ -42,15 +42,9 @@ from .objectives import (
     FactorizedParams,
     HyperParams,
     LinearParams,
-    ae_l2_penalty,
-    ae_loss,
     elastic_net_loss,
-    graph_penalty,
     joint_grad,
     joint_loss,
-    lasso_penalty,
-    logistic_loss_factorized,
-    logistic_loss_linear,
 )
 from .optimizer import (
     FitResult,

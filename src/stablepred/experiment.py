@@ -57,12 +57,16 @@ _SETTINGS = {"hyperparams": HyperParams, "optimizer": OptimizerConfig}
 
 
 def _with_settings(payload: dict) -> dict:
+    for key in _SETTINGS:
+        if key in payload and not isinstance(payload[key], dict):
+            raise ValueError(f"{key} must be a JSON object, got {payload[key]!r}")
     return {**payload, **{k: cls(**payload[k]) for k, cls in _SETTINGS.items() if k in payload}}
 
 
 # ExperimentConfig's string fields, each mapped to whether it may be null.
-_STRING_FIELDS = {"train_path": False, "validation_path": False, "label_column": False,
-                  "augment_path": True, "graph_path": True, "output_dir": True}
+_STRING_FIELDS = {"train_path": False, "validation_path": False, "model": False,
+                  "label_column": False, "augment_path": True, "graph_path": True,
+                  "output_dir": True}
 
 
 @dataclass(frozen=True)
@@ -89,15 +93,15 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
+        for name, nullable in _STRING_FIELDS.items():
+            value = getattr(self, name)
+            if not isinstance(value, str) and not (nullable and value is None):
+                raise ValueError(f"{name} must be a string{' or null' * nullable}, got {value!r}")
         validate_hyperparams(self.model, self.hyperparams)
         check_model_inputs(
             self.model, self.graph_path is not None, self.augment_path is not None,
             fields=("graph_path", "augment_path"),
         )
-        for name, nullable in _STRING_FIELDS.items():
-            value = getattr(self, name)
-            if not isinstance(value, str) and not (nullable and value is None):
-                raise ValueError(f"{name} must be a string{' or null' * nullable}, got {value!r}")
         _require_int("n_bootstraps", self.n_bootstraps, 2)
         if not isinstance(self.k_list, tuple) or not self.k_list:
             raise ValueError(f"k_list must be a non-empty tuple (a list in JSON), "

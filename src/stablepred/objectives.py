@@ -11,8 +11,11 @@ L1 term with weight alpha * lambda_en, alpha * (1 - lambda_en) * sum theta^2,
 and, given a Laplacian, (lambda_fg / 2) theta^T L theta.  Each family has one
 fused ``value_and_grad(vec) -> (loss, grad)`` over the flat ``to_vector()``
 layout of its parameters, built once per fit by ``linear_objective`` or
-``joint_objective``.  The public ``*_loss``/``*_grad`` functions derive from
-these two.
+``joint_objective``.  ``autoencoder_objective`` builds the reconstruction loss
+alone over the factorized layout.  The ``lasso_*``, ``elastic_net_*``,
+``lasso_graph_*`` and ``joint_*`` loss/gradient functions on parameter objects
+derive from the builders; no fit calls them, and they remain only because the
+benchmark tracer hooks them.
 """
 
 from __future__ import annotations
@@ -30,20 +33,13 @@ __all__ = [
     "HyperParams",
     "linear_objective",
     "joint_objective",
-    "logistic_loss_linear",
-    "lasso_penalty",
+    "autoencoder_objective",
     "lasso_loss",
     "lasso_grad",
     "elastic_net_loss",
     "elastic_net_grad",
-    "graph_penalty",
     "lasso_graph_loss",
     "lasso_graph_grad",
-    "logistic_loss_factorized",
-    "logistic_grad_factorized",
-    "ae_loss",
-    "ae_grad",
-    "ae_l2_penalty",
     "joint_loss",
     "joint_grad",
 ]
@@ -103,14 +99,6 @@ class FactorizedParams:
         if self.b_W.shape != (k,) or self.b_V.shape != (n,):
             raise ValueError("encoder/decoder bias shapes do not match W")
 
-    @property
-    def n_features(self) -> int:
-        return self.W.shape[1]
-
-    @property
-    def hidden_units(self) -> int:
-        return self.W.shape[0]
-
     def effective_theta(self) -> np.ndarray:
         return self.W.T @ self.u
 
@@ -152,11 +140,6 @@ class HyperParams:
         _require_real("l1_epsilon", self.l1_epsilon, 0.0, strict=True)
 
 
-def _check_laplacian(lap: np.ndarray, n: int) -> None:
-    if lap.shape != (n, n):
-        raise ValueError(f"Laplacian is {lap.shape} but theta has {n} entries")
-
-
 def _validate_augment(d: Dataset, aug: np.ndarray | None) -> None:
     if aug is not None and (aug.ndim != 2 or aug.shape[1] != d.n_features):
         raise ValueError(
@@ -183,8 +166,8 @@ def _l1(theta: np.ndarray, alpha: float, eps: float):
 def _penalized(d: Dataset, h: HyperParams, lap: np.ndarray | None):
     """``f(theta, bias) -> (loss, g_theta, g_bias)``: the penalty stack on theta."""
     _require_labeled(d)
-    if lap is not None:
-        _check_laplacian(lap, d.n_features)
+    if lap is not None and lap.shape != (d.n_features, d.n_features):
+        raise ValueError(f"Laplacian is {lap.shape} but theta has {d.n_features} entries")
     X, y = d.X, d.y
     l1_weight, l2_weight = h.alpha * h.lambda_en, h.alpha * (1.0 - h.lambda_en)
 
@@ -278,17 +261,23 @@ def joint_objective(d: Dataset, aug: np.ndarray | None, h: HyperParams,
     return value_and_grad
 
 
-def logistic_loss_linear(p: LinearParams, d: Dataset) -> float:
-    """Mean logistic loss (1/M) sum log(1 + exp(-y (theta.x + bias)))."""
-    _require_labeled(d)
-    return _logistic(d.X, d.y, p.theta, p.bias)[0]
+def autoencoder_objective(X: np.ndarray):
+    """``value_and_grad(vec) -> (loss, grad)`` of the reconstruction loss alone
+    over the FactorizedParams layout: the mean over the rows of X of
+    (1/2N) ||x - b_V - V sigmoid(Wx + b_W)||^2.  The gradient in u and in
+    the bias is 0."""
+    n = X.shape[1]
 
+    def value_and_grad(vec: np.ndarray):
+        k = (vec.size - n - 1) // (2 * n + 2)
+        _, W, V, b_W, b_V = _factor_views(vec, k, n)
+        hidden, residual, loss = _ae_forward(W, V, b_W, b_V, X)
+        grad = np.zeros_like(vec)
+        for g, g_ae in zip(_factor_views(grad, k, n)[1:], _ae_backward(V, X, hidden, residual)):
+            g[:] = g_ae
+        return loss, grad
 
-def lasso_penalty(theta: np.ndarray, alpha: float, eps: float) -> float:
-    """Smoothed L1 penalty alpha * sum sqrt(theta_i^2 + eps)."""
-    _require_real("alpha", alpha, 0.0)
-    _require_real("eps", eps, 0.0, strict=True)
-    return _l1(theta, alpha, eps)[0]
+    return value_and_grad
 
 
 def lasso_loss(p: LinearParams, d: Dataset, h: HyperParams) -> float:
@@ -309,12 +298,6 @@ def elastic_net_grad(p: LinearParams, d: Dataset, h: HyperParams) -> LinearParam
     return p.with_vector(linear_objective(d, h)(p.to_vector())[1])
 
 
-def graph_penalty(theta: np.ndarray, lap: np.ndarray, lambda_fg: float) -> float:
-    """Quadratic form (lambda_fg / 2) theta^T L theta over the feature graph."""
-    _check_laplacian(lap, theta.size)
-    return 0.5 * lambda_fg * float(theta @ (lap @ theta))
-
-
 def lasso_graph_loss(p: LinearParams, d: Dataset, h: HyperParams, lap: np.ndarray) -> float:
     """Lasso objective with the feature-graph quadratic form added."""
     return linear_objective(d, replace(h, lambda_en=1.0), lap)(p.to_vector())[0]
@@ -322,48 +305,6 @@ def lasso_graph_loss(p: LinearParams, d: Dataset, h: HyperParams, lap: np.ndarra
 
 def lasso_graph_grad(p: LinearParams, d: Dataset, h: HyperParams, lap: np.ndarray) -> LinearParams:
     return p.with_vector(linear_objective(d, replace(h, lambda_en=1.0), lap)(p.to_vector())[1])
-
-
-def logistic_loss_factorized(p: FactorizedParams, d: Dataset) -> float:
-    """Mean logistic loss of the factorized predictor u^T W x + bias.
-
-    Identical to the linear loss evaluated at theta = W^T u.
-    """
-    _require_labeled(d)
-    return _logistic(d.X, d.y, p.effective_theta(), p.bias)[0]
-
-
-def logistic_grad_factorized(p: FactorizedParams, d: Dataset) -> FactorizedParams:
-    """Gradient of ``logistic_loss_factorized``: ``joint_objective`` with every penalty off."""
-    h = HyperParams(alpha=0.0, hidden_units=p.hidden_units)
-    return p.with_vector(joint_objective(d, None, h)(p.to_vector())[1])
-
-
-def ae_loss(p: FactorizedParams, X: np.ndarray) -> float:
-    """Mean reconstruction error (1/2N) ||x - b_V - V sigmoid(Wx + b_W)||^2.
-
-    Averaged over the rows of X.
-    """
-    if X.shape[1] != p.n_features:
-        raise ValueError(f"X has {X.shape[1]} columns, model expects {p.n_features}")
-    return _ae_forward(p.W, p.V, p.b_W, p.b_V, X)[2]
-
-
-def ae_grad(p: FactorizedParams, X: np.ndarray) -> FactorizedParams:
-    if X.shape[1] != p.n_features:
-        raise ValueError(f"X has {X.shape[1]} columns, model expects {p.n_features}")
-    hidden, residual, _ = _ae_forward(p.W, p.V, p.b_W, p.b_V, X)
-    g_W, g_V, g_bW, g_bV = _ae_backward(p.V, X, hidden, residual)
-    return FactorizedParams(u=np.zeros_like(p.u), W=g_W, V=g_V, b_W=g_bW, b_V=g_bV, bias=0.0)
-
-
-def ae_l2_penalty(p: FactorizedParams, lambda_l2: float) -> float:
-    """Weight decay lambda_l2 * (||W||_F^2 + ||V||_F^2 + ||b_W||^2 + ||b_V||^2).
-
-    u and the predictor bias are not penalized.
-    """
-    _require_real("lambda_l2", lambda_l2, 0.0)
-    return _l2_value(lambda_l2, p.W, p.V, p.b_W, p.b_V)
 
 
 def joint_loss(p: FactorizedParams, d: Dataset, aug: np.ndarray | None, h: HyperParams,

@@ -17,11 +17,9 @@ from stablepred.experiment import ExperimentConfig, emit_report, run_experiment
 from stablepred.metrics import auc
 from stablepred.objectives import (
     HyperParams,
-    LinearParams,
-    ae_loss,
-    ae_grad,
-    joint_loss,
-    lasso_loss,
+    autoencoder_objective,
+    joint_objective,
+    linear_objective,
 )
 from stablepred.optimizer import OptimizerConfig, init_params, minimize
 from stablepred.stability import SubsetFamily, consistency_index, mean_consistency
@@ -31,7 +29,7 @@ from conftest import H_LINEAR, SUBSET_K
 from test_metrics import pairwise_auc, random_prediction_set
 from test_objectives import (
     finite_difference,
-    loss_grad_pairs,
+    objective_closures,
     max_rel_err,
     random_instance,
 )
@@ -60,11 +58,11 @@ def test_criterion_1_gradients():
     worst = 0.0
     for seed in range(20):
         d, aug, lp, fp, lap, h = random_instance(seed)
-        for name, kind, lossf, gradf in loss_grad_pairs(d, aug, lap, h):
-            p0 = lp if kind == "linear" else fp
-            fun = lambda v: lossf(p0.with_vector(v))  # noqa: B023
-            analytic = gradf(p0).to_vector()
-            numeric = finite_difference(fun, p0.to_vector(), step=1e-5)
+        for name, kind, value_and_grad in objective_closures(d, aug, lap, h):
+            x0 = (lp if kind == "linear" else fp).to_vector()
+            analytic = value_and_grad(x0)[1]
+            fun = lambda v: value_and_grad(v)[0]  # noqa: B023
+            numeric = finite_difference(fun, x0, step=1e-5)
             err = max_rel_err(analytic, numeric)
             worst = max(worst, err)
             assert err <= 1e-4, f"{name} seed={seed}: relative error {err:.3e}"
@@ -108,23 +106,19 @@ def test_criterion_4_definitional_identity():
     for seed in range(50):
         d, _, _, fp, _, _ = random_instance(seed)
         h = HyperParams(alpha=0.2, lambda_ae=0.0, lambda_l2=0.0, hidden_units=3)
-        linear = lasso_loss(LinearParams(theta=fp.effective_theta(), bias=fp.bias), d, h)
-        assert abs(joint_loss(fp, d, None, h) - linear) <= 1e-12
+        linear = linear_objective(d, h)(np.append(fp.effective_theta(), fp.bias))[0]
+        assert abs(joint_objective(d, None, h)(fp.to_vector())[0] - linear) <= 1e-12
 
 
 @criterion(5, "autoencoder training reduces reconstruction tenfold")
 def test_criterion_5_autoencoder_sanity():
     start = time.monotonic()
     d = standardize(generate(DEFAULT_SPEC))
-    p0 = init_params(d.n_features, DEFAULT_SPEC.n_groups, seed=1)
-    initial = ae_loss(p0, d.X)
+    x0 = init_params(d.n_features, DEFAULT_SPEC.n_groups, seed=1).to_vector()
+    value_and_grad = autoencoder_objective(d.X)
+    initial = value_and_grad(x0)[0]
     cfg = OptimizerConfig(max_iters=4000, learning_rate=0.02, rel_tol=1e-9, seed=1)
-
-    def value_and_grad(v):
-        p = p0.with_vector(v)
-        return ae_loss(p, d.X), ae_grad(p, d.X).to_vector()
-
-    res = minimize(value_and_grad, p0.to_vector(), cfg)
+    res = minimize(value_and_grad, x0, cfg)
     elapsed = time.monotonic() - start
     assert res.final_loss <= initial / 10.0, (
         f"reconstruction {res.final_loss:.4f} vs initial {initial:.4f}"

@@ -180,7 +180,13 @@ class TestConfigValidation:
         # k_list: 5 used to fail as not iterable, and "20" as the entries '2' and '0'
         ("k_list", 5, r"k_list must be a non-empty tuple \(a list in JSON\), got 5"),
         ("k_list", "20", r"k_list must be a non-empty tuple \(a list in JSON\), got '20'"),
-    ], ids=["output_dir-int", "train_path-null", "k_list-int", "k_list-string"])
+        # a list model used to fail as unhashable, and a non-object hyperparams or
+        # optimizer with an unnamed TypeError from **
+        ("model", ["lasso"], r"model must be a string, got \['lasso'\]"),
+        ("hyperparams", 5, "hyperparams must be a JSON object, got 5"),
+        ("optimizer", [1], r"optimizer must be a JSON object, got \[1\]"),
+    ], ids=["output_dir-int", "train_path-null", "k_list-int", "k_list-string", "model-list",
+            "hyperparams-int", "optimizer-list"])
     def test_field_types_in_config_file_rejected(self, cohort_dir, tmp_path, field, value,
                                                  message):
         payload = base_config(cohort_dir).to_dict()

@@ -1,6 +1,7 @@
 """Loss values against hand-derived oracles; gradients against finite differences."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,22 +12,15 @@ from stablepred.objectives import (
     FactorizedParams,
     HyperParams,
     LinearParams,
-    ae_grad,
-    ae_l2_penalty,
-    ae_loss,
-    elastic_net_grad,
+    _l1,
+    autoencoder_objective,
     elastic_net_loss,
-    graph_penalty,
     joint_grad,
     joint_loss,
-    lasso_grad,
-    lasso_graph_grad,
+    joint_objective,
     lasso_graph_loss,
     lasso_loss,
-    lasso_penalty,
-    logistic_grad_factorized,
-    logistic_loss_factorized,
-    logistic_loss_linear,
+    linear_objective,
 )
 
 
@@ -77,54 +71,75 @@ def random_instance(seed, m=20, n=12, k=3):
     return d, aug, lp, fp, lap, h
 
 
+def logistic_loss(p, d) -> float:
+    """The mean logistic loss alone: the builder for p's layout with every penalty weight 0."""
+    h = HyperParams(alpha=0.0)
+    if isinstance(p, LinearParams):
+        return linear_objective(d, h)(p.to_vector())[0]
+    return joint_objective(d, None, h)(p.to_vector())[0]
+
+
+def zero_cohort(n):
+    """One labeled all-zero row, on which the logistic term is log 2 at bias 0."""
+    return make_dataset(np.zeros((1, n)), y=[1])
+
+
+def graph_term(theta, lap, lambda_fg) -> float:
+    """(lambda_fg / 2) theta^T L theta as ``linear_objective`` adds it: its loss
+    with the Laplacian minus its loss without."""
+    d, h = zero_cohort(theta.size), HyperParams(alpha=0.0, lambda_fg=lambda_fg)
+    vec = np.append(theta, 0.0)
+    return linear_objective(d, h, lap)(vec)[0] - linear_objective(d, h)(vec)[0]
+
+
+def weight_decay(p: FactorizedParams, lambda_l2) -> float:
+    """The encoder/decoder weight decay as ``joint_objective`` adds it: its loss
+    at ``lambda_l2`` minus its loss at 0."""
+    d, vec = zero_cohort(p.W.shape[1]), p.to_vector()
+    on = joint_objective(d, None, HyperParams(alpha=0.0, lambda_l2=lambda_l2))(vec)[0]
+    return on - joint_objective(d, None, HyperParams(alpha=0.0))(vec)[0]
+
+
+def ae_loss(p: FactorizedParams, X) -> float:
+    """The mean reconstruction loss over the rows of X."""
+    return autoencoder_objective(X)(p.to_vector())[0]
+
+
 class TestLogisticLossLinear:
     def test_zero_params_any_data(self):
         d = make_dataset(np.array([[1.0, -2.0], [0.5, 3.0]]), y=[1, -1])
-        loss = logistic_loss_linear(LinearParams(theta=np.zeros(2)), d)
+        loss = logistic_loss(LinearParams(theta=np.zeros(2)), d)
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_single_sample_positive(self):
         d = make_dataset(np.array([[2.0]]), y=[1])
-        loss = logistic_loss_linear(LinearParams(theta=np.array([1.0])), d)
+        loss = logistic_loss(LinearParams(theta=np.array([1.0])), d)
         assert loss == pytest.approx(math.log(1.0 + math.exp(-2.0)), abs=1e-12)
 
     def test_single_sample_negative(self):
         d = make_dataset(np.array([[2.0]]), y=[-1])
-        loss = logistic_loss_linear(LinearParams(theta=np.array([1.0])), d)
+        loss = logistic_loss(LinearParams(theta=np.array([1.0])), d)
         assert loss == pytest.approx(math.log(1.0 + math.exp(2.0)), abs=1e-12)
 
     def test_unlabeled_rejected(self):
         d = make_dataset(np.ones((2, 1)))
         with pytest.raises(ValueError, match="labels"):
-            logistic_loss_linear(LinearParams(theta=np.zeros(1)), d)
+            logistic_loss(LinearParams(theta=np.zeros(1)), d)
 
 
 class TestLassoPenalty:
+    # the smoothed L1 term alone, as every builder adds it; a builder's loss
+    # minus its logistic term would round away the smoothing residue
     def test_zero_theta(self):
-        assert lasso_penalty(np.zeros(4), 2.0, 1e-16) == pytest.approx(2.0 * 4 * 1e-8, abs=1e-12)
+        assert _l1(np.zeros(4), 2.0, 1e-16)[0] == pytest.approx(2.0 * 4 * 1e-8, abs=1e-12)
 
     def test_approaches_exact_l1(self):
-        assert lasso_penalty(np.array([3.0, -4.0]), 1.0, 1e-12) == pytest.approx(7.0, abs=1e-6)
+        assert _l1(np.array([3.0, -4.0]), 1.0, 1e-12)[0] == pytest.approx(7.0, abs=1e-6)
 
     def test_smoothing_error_bound(self):
         # sqrt(1 + 1e-16) - 1 <= 1e-8
-        diff = lasso_penalty(np.array([1.0]), 1.0, 1e-16) - 1.0
+        diff = _l1(np.array([1.0]), 1.0, 1e-16)[0] - 1.0
         assert 0.0 <= diff <= 1e-8
-
-    def test_invalid_eps(self):
-        with pytest.raises(ValueError):
-            lasso_penalty(np.ones(2), 1.0, 0.0)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_nan_and_inf_alpha_rejected(self, value):
-        # a NaN alpha returned nan and an infinite one inf
-        with pytest.raises(ValueError, match="alpha must be >= 0"):
-            lasso_penalty(np.ones(2), value, 1e-8)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_nan_and_inf_eps_rejected(self, value):
-        with pytest.raises(ValueError, match="eps must be > 0"):
-            lasso_penalty(np.ones(2), 1.0, value)
 
 
 class TestElasticNet:
@@ -138,14 +153,14 @@ class TestElasticNet:
         d = make_dataset(np.array([[1.0, 2.0]]), y=[1])
         p = LinearParams(theta=np.array([1.0, 2.0]))
         h = HyperParams(alpha=0.5, lambda_en=0.0)
-        expected = logistic_loss_linear(p, d) + 0.5 * 5.0
+        expected = logistic_loss(p, d) + 0.5 * 5.0
         assert elastic_net_loss(p, d, h) == pytest.approx(expected, abs=1e-12)
 
     def test_alpha_zero_is_pure_logistic(self):
         d = make_dataset(np.array([[1.0, 2.0]]), y=[-1])
         p = LinearParams(theta=np.array([0.3, -0.6]), bias=0.2)
         h = HyperParams(alpha=0.0, lambda_en=0.5)
-        assert elastic_net_loss(p, d, h) == logistic_loss_linear(p, d)
+        assert elastic_net_loss(p, d, h) == logistic_loss(p, d)
 
     def test_lambda_en_out_of_range(self):
         with pytest.raises(ValueError, match="lambda_en"):
@@ -186,20 +201,20 @@ class TestGraphPenalty:
         lap = build_laplacian(
             FeatureGraph(edges=(("a", "b", 1.0), ("b", "c", 2.0))), ["a", "b", "c"]
         )
-        assert graph_penalty(np.full(3, 2.5), lap, 3.0) == pytest.approx(0.0, abs=1e-12)
+        assert graph_term(np.full(3, 2.5), lap, 3.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_node_value(self):
         lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        assert graph_penalty(np.array([1.0, 0.0]), lap, 2.0) == pytest.approx(1.0, abs=1e-14)
+        assert graph_term(np.array([1.0, 0.0]), lap, 2.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_zero_weight(self):
         lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        assert graph_penalty(np.array([5.0, -3.0]), lap, 0.0) == 0.0
+        assert graph_term(np.array([5.0, -3.0]), lap, 0.0) == 0.0
 
     def test_dimension_mismatch(self):
         lap = np.zeros((3, 3))
         with pytest.raises(ValueError, match="Laplacian"):
-            graph_penalty(np.zeros(2), lap, 1.0)
+            graph_term(np.zeros(2), lap, 1.0)
 
     def test_matches_edge_sum_oracle(self):
         # (lambda/2) * theta' L theta == (lambda/2) * sum_ij w_ij (theta_i - theta_j)^2
@@ -214,7 +229,7 @@ class TestGraphPenalty:
         lam = 1.7
         direct = 0.5 * lam * sum(w * (theta[names.index(a)] - theta[names.index(b)]) ** 2
                                  for a, b, w in edges)
-        assert graph_penalty(theta, lap, lam) == pytest.approx(direct, rel=1e-12)
+        assert graph_term(theta, lap, lam) == pytest.approx(direct, rel=1e-12)
 
 
 class TestFactorizedLogistic:
@@ -224,7 +239,7 @@ class TestFactorizedLogistic:
             u=np.zeros(2), W=np.ones((2, 2)), V=np.zeros((2, 2)),
             b_W=np.zeros(2), b_V=np.zeros(2),
         )
-        assert logistic_loss_factorized(p, d) == pytest.approx(math.log(2.0), abs=1e-12)
+        assert logistic_loss(p, d) == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_reduces_to_linear_example(self):
         d = make_dataset(np.array([[2.0, 0.0]]), y=[1])
@@ -232,7 +247,7 @@ class TestFactorizedLogistic:
             u=np.array([1.0]), W=np.array([[1.0, 0.0]]), V=np.zeros((2, 1)),
             b_W=np.zeros(1), b_V=np.zeros(2),
         )
-        assert logistic_loss_factorized(p, d) == pytest.approx(
+        assert logistic_loss(p, d) == pytest.approx(
             math.log(1.0 + math.exp(-2.0)), abs=1e-12
         )
 
@@ -244,12 +259,12 @@ class TestFactorizedLogistic:
             V=rng.standard_normal((6, 2)), b_W=rng.standard_normal(2),
             b_V=rng.standard_normal(6), bias=0.4,
         )
-        linear = logistic_loss_linear(LinearParams(theta=p.effective_theta(), bias=p.bias), d)
-        assert abs(logistic_loss_factorized(p, d) - linear) <= 1e-12
+        linear = logistic_loss(LinearParams(theta=p.effective_theta(), bias=p.bias), d)
+        assert abs(logistic_loss(p, d) - linear) <= 1e-12
 
     @staticmethod
     def chain_rule_oracle(p, d):
-        """The hand-written theta = W^T u chain rule ``logistic_grad_factorized`` once held."""
+        """The hand-written theta = W^T u chain rule, the factorized logistic gradient."""
         margins = d.y * (d.X @ p.effective_theta() + p.bias)
         resid = -d.y * expit(-margins) / d.X.shape[0]
         g_theta = d.X.T @ resid
@@ -261,7 +276,7 @@ class TestFactorizedLogistic:
     def test_grad_derived_from_joint_objective_keeps_bytes(self):
         for seed in range(200):
             d, _, _, fp, _, _ = random_instance(seed)
-            got = logistic_grad_factorized(fp, d).to_vector()
+            got = joint_objective(d, None, HyperParams(alpha=0.0))(fp.to_vector())[1]
             assert got.tobytes() == self.chain_rule_oracle(fp, d).to_vector().tobytes(), seed
 
     def test_prediction_invariant_under_rescaling(self):
@@ -274,8 +289,8 @@ class TestFactorizedLogistic:
         )
         c = 3.7
         q = FactorizedParams(u=c * p.u, W=p.W / c, V=p.V, b_W=p.b_W, b_V=p.b_V, bias=p.bias)
-        assert logistic_loss_factorized(q, d) == pytest.approx(
-            logistic_loss_factorized(p, d), rel=1e-12
+        assert logistic_loss(q, d) == pytest.approx(
+            logistic_loss(p, d), rel=1e-12
         )
 
 
@@ -305,6 +320,12 @@ class TestAutoencoderLoss:
         )
         assert ae_loss(p, X) == pytest.approx(0.0, abs=1e-14)
 
+    def test_gradient_zero_in_u_and_bias(self):
+        d, _, _, fp, _, _ = random_instance(5)
+        grad = fp.with_vector(autoencoder_objective(d.X)(fp.to_vector())[1])
+        np.testing.assert_array_equal(grad.u, np.zeros_like(fp.u))
+        assert grad.bias == 0.0
+
 
 class TestAeL2Penalty:
     def make(self, W, V):
@@ -313,31 +334,23 @@ class TestAeL2Penalty:
 
     def test_zero_params(self):
         p = self.make(np.zeros((1, 2)), np.zeros((2, 1)))
-        assert ae_l2_penalty(p, 3.0) == 0.0
+        assert weight_decay(p, 3.0) == 0.0
 
     def test_simple_value(self):
         p = self.make(np.array([[1.0, 1.0]]), np.array([[1.0], [1.0]]))
-        assert ae_l2_penalty(p, 0.5) == pytest.approx(2.0, abs=1e-14)
+        assert weight_decay(p, 0.5) == pytest.approx(2.0, abs=1e-14)
 
     def test_u_does_not_contribute(self):
         p = self.make(np.ones((1, 2)), np.ones((2, 1)))
         q = FactorizedParams(u=7.0 * p.u, W=p.W, V=p.V, b_W=p.b_W, b_V=p.b_V)
-        assert ae_l2_penalty(p, 1.3) == ae_l2_penalty(q, 1.3)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
-    def test_bad_weight_rejected(self, value):
-        p = self.make(np.ones((1, 2)), np.ones((2, 1)))
-        with pytest.raises(ValueError, match="lambda_l2 must be >= 0"):
-            ae_l2_penalty(p, value)
+        assert weight_decay(p, 1.3) == weight_decay(q, 1.3)
 
 
 class TestJointLoss:
     def test_additivity_reduces_to_factorized_lasso(self):
         d, aug, _, fp, _, _ = random_instance(0)
         h = HyperParams(alpha=0.3, lambda_ae=0.0, lambda_l2=0.0, hidden_units=3, l1_epsilon=1e-8)
-        expected = logistic_loss_factorized(fp, d) + lasso_penalty(
-            fp.effective_theta(), 0.3, 1e-8
-        )
+        expected = logistic_loss(fp, d) + _l1(fp.effective_theta(), 0.3, 1e-8)[0]
         assert joint_loss(fp, d, None, h) == pytest.approx(expected, abs=1e-14)
 
     def test_all_penalties_zero_gives_pure_logistic(self):
@@ -345,7 +358,7 @@ class TestJointLoss:
         h = HyperParams(alpha=0.0, lambda_ae=0.0, lambda_l2=0.0, hidden_units=3, l1_epsilon=1e-8)
         loss = joint_loss(fp, d, None, h)
         # only the smoothing residue of the zero-alpha L1 term remains: none
-        assert loss == pytest.approx(logistic_loss_factorized(fp, d), abs=1e-12)
+        assert loss == pytest.approx(logistic_loss(fp, d), abs=1e-12)
 
     def test_augment_inactive_when_lambda_ae_zero(self):
         d, aug, _, fp, _, _ = random_instance(2)
@@ -367,21 +380,17 @@ class TestJointLoss:
             assert abs(joint_loss(fp, d, None, h) - linear) <= 1e-12
 
 
-def loss_grad_pairs(d, aug, lap, h):
-    """The seven objective/gradient pairs under test."""
+def objective_closures(d, aug, lap, h):
+    """The seven ``value_and_grad`` closures under test, with their parameter layout."""
+    lasso = replace(h, lambda_en=1.0)
     return [
-        ("lasso", "linear", lambda p: lasso_loss(p, d, h), lambda p: lasso_grad(p, d, h)),
-        ("elastic-net", "linear", lambda p: elastic_net_loss(p, d, h),
-         lambda p: elastic_net_grad(p, d, h)),
-        ("lasso-graph", "linear", lambda p: lasso_graph_loss(p, d, h, lap),
-         lambda p: lasso_graph_grad(p, d, h, lap)),
-        ("factorized-logistic", "factorized", lambda p: logistic_loss_factorized(p, d),
-         lambda p: logistic_grad_factorized(p, d)),
-        ("autoencoder", "factorized", lambda p: ae_loss(p, d.X), lambda p: ae_grad(p, d.X)),
-        ("joint", "factorized", lambda p: joint_loss(p, d, aug, h),
-         lambda p: joint_grad(p, d, aug, h)),
-        ("joint-graph", "factorized", lambda p: joint_loss(p, d, aug, h, lap),
-         lambda p: joint_grad(p, d, aug, h, lap)),
+        ("lasso", "linear", linear_objective(d, lasso)),
+        ("elastic-net", "linear", linear_objective(d, h)),
+        ("lasso-graph", "linear", linear_objective(d, lasso, lap)),
+        ("factorized-logistic", "factorized", joint_objective(d, None, HyperParams(alpha=0.0))),
+        ("autoencoder", "factorized", autoencoder_objective(d.X)),
+        ("joint", "factorized", joint_objective(d, aug, h)),
+        ("joint-graph", "factorized", joint_objective(d, aug, h, lap)),
     ]
 
 
@@ -389,11 +398,10 @@ class TestGradients:
     @pytest.mark.parametrize("seed", range(20))
     def test_all_blocks_match_finite_differences(self, seed):
         d, aug, lp, fp, lap, h = random_instance(seed)
-        for name, kind, lossf, gradf in loss_grad_pairs(d, aug, lap, h):
-            p0 = lp if kind == "linear" else fp
-            fun = lambda v: lossf(p0.with_vector(v))  # noqa: B023
-            analytic = gradf(p0).to_vector()
-            numeric = finite_difference(fun, p0.to_vector())
+        for name, kind, value_and_grad in objective_closures(d, aug, lap, h):
+            x0 = (lp if kind == "linear" else fp).to_vector()
+            analytic = value_and_grad(x0)[1]
+            numeric = finite_difference(lambda v: value_and_grad(v)[0], x0)  # noqa: B023
             err = max_rel_err(analytic, numeric)
             assert err <= 1e-4, f"{name}: max relative error {err:.3e}"
 
@@ -411,16 +419,16 @@ class TestPenaltySwitches:
         d, aug, lp, fp, lap, _ = random_instance(9)
         h0 = HyperParams(alpha=0.0, lambda_en=1.0, lambda_fg=0.0, lambda_ae=0.0,
                          lambda_l2=0.0, hidden_units=3)
-        assert lasso_loss(lp, d, h0) == logistic_loss_linear(lp, d)
-        assert lasso_graph_loss(lp, d, h0, lap) == logistic_loss_linear(lp, d)
-        assert ae_l2_penalty(fp, 0.0) == 0.0
-        assert graph_penalty(lp.theta, lap, 0.0) == 0.0
+        assert lasso_loss(lp, d, h0) == logistic_loss(lp, d)
+        assert lasso_graph_loss(lp, d, h0, lap) == logistic_loss(lp, d)
+        assert weight_decay(fp, 0.0) == 0.0
+        assert graph_term(lp.theta, lap, 0.0) == 0.0
 
     def test_losses_nonnegative(self):
         for seed in range(5):
             d, aug, lp, fp, lap, h = random_instance(seed)
-            assert logistic_loss_linear(lp, d) > 0
+            assert logistic_loss(lp, d) > 0
             assert lasso_loss(lp, d, h) > 0
             assert ae_loss(fp, d.X) >= 0
-            assert ae_l2_penalty(fp, h.lambda_l2) >= 0
+            assert weight_decay(fp, h.lambda_l2) >= 0
             assert joint_loss(fp, d, aug, h, lap) > 0

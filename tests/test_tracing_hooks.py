@@ -57,3 +57,12 @@ def test_hook_target_is_callable(layer, name):
 @pytest.mark.parametrize("hook,arg", counter_arguments())
 def test_counter_reads_first_parameter(hook, arg):
     assert next(iter(inspect.signature(hooked(hook)).parameters)) == arg
+
+
+def test_every_loss_grad_function_is_hooked():
+    # the value-and-gradient builders are the objectives' API; a public
+    # *_loss/*_grad function stays only while the tracer hooks it
+    objectives = importlib.import_module("stablepred.objectives")
+    public = {name for name in vars(objectives)
+              if not name.startswith("_") and name.endswith(("_loss", "_grad"))}
+    assert public <= {name for layer, name in hooked_functions() if layer == "objectives"}
