@@ -141,6 +141,22 @@ class TestLassoPenalty:
         diff = _l1(np.array([1.0]), 1.0, 1e-16)[0] - 1.0
         assert 0.0 <= diff <= 1e-8
 
+    # alpha and eps reach the L1 term only through HyperParams, which checks them
+    def test_invalid_eps(self):
+        with pytest.raises(ValueError, match="l1_epsilon must be > 0"):
+            linear_objective(zero_cohort(2), replace(HyperParams(), l1_epsilon=0.0))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_nan_and_inf_alpha_rejected(self, value):
+        # a NaN alpha returned nan and an infinite one inf
+        with pytest.raises(ValueError, match="alpha must be >= 0"):
+            linear_objective(zero_cohort(2), replace(HyperParams(), alpha=value))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_nan_and_inf_eps_rejected(self, value):
+        with pytest.raises(ValueError, match="l1_epsilon must be > 0"):
+            linear_objective(zero_cohort(2), replace(HyperParams(), l1_epsilon=value))
+
 
 class TestElasticNet:
     def test_reduces_to_lasso_at_one(self):
@@ -344,6 +360,12 @@ class TestAeL2Penalty:
         p = self.make(np.ones((1, 2)), np.ones((2, 1)))
         q = FactorizedParams(u=7.0 * p.u, W=p.W, V=p.V, b_W=p.b_W, b_V=p.b_V)
         assert weight_decay(p, 1.3) == weight_decay(q, 1.3)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_bad_weight_rejected(self, value):
+        p = self.make(np.ones((1, 2)), np.ones((2, 1)))
+        with pytest.raises(ValueError, match="lambda_l2 must be >= 0"):
+            weight_decay(p, value)
 
 
 class TestJointLoss:
