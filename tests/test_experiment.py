@@ -196,6 +196,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{message}$"):
             ExperimentConfig.from_json(path)
 
+    @pytest.mark.parametrize("section,key,message", [
+        (None, "n_bootstrap", "unknown config field 'n_bootstrap'"),
+        ("hyperparams", "alpha_", "hyperparams has no field 'alpha_'"),
+        ("optimizer", "lr", "optimizer has no field 'lr'"),
+    ])
+    def test_unknown_keys_in_config_file_rejected(self, cohort_dir, tmp_path, section, key,
+                                                  message):
+        # a misspelled key used to fail as an unlocated TypeError from the constructor
+        payload = base_config(cohort_dir).to_dict()
+        (payload if section is None else payload[section])[key] = 1
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ExperimentConfig.from_json(path)
+
     def test_config_json_roundtrip(self, cohort_dir, tmp_path):
         cfg = base_config(cohort_dir)
         path = tmp_path / "cfg.json"
@@ -526,3 +541,115 @@ class TestFinalFitInPool:
         assert str(exc.value) == "non-finite loss nan at iteration 7"
         assert exc.value.iteration == 7
         assert multiprocessing.active_children() == []
+
+
+def ag_config(cohort_dir, **overrides):
+    return base_config(
+        cohort_dir, model="ag-lasso-autoencoder-graph",
+        hyperparams=HyperParams(alpha=0.02, lambda_ae=5.0, lambda_l2=1e-3,
+                                lambda_fg=0.05, hidden_units=3),
+        graph_path=str(cohort_dir / "graph.tsv"),
+        augment_path=str(cohort_dir / "augment.csv"), **overrides,
+    )
+
+
+def load_both_ways(monkeypatch, run):
+    """``run()`` with the cohorts loaded serially, then in the fork pool: each
+    result, or the type and text of the error it raised."""
+    def outcome():
+        try:
+            return run()
+        except Exception as e:
+            return type(e), str(e)
+
+    serial = outcome()
+    monkeypatch.setattr(experiment, "_POOLED_LOAD_BYTES", 0)
+    return serial, outcome()
+
+
+@pytest.mark.skipif(stability._worker_blas_setter() is None,
+                    reason="the load pool needs fork and numpy's bundled OpenBLAS")
+class TestPooledLoad:
+    """Cohort files of ``_POOLED_LOAD_BYTES`` or more in all load one per pool
+    job, with the same arrays, report bytes, warnings and errors as serially."""
+
+    @pytest.mark.parametrize("model", ["lasso-graph", "ag-lasso-autoencoder-graph"])
+    def test_report_bytes(self, cohort_dir, tmp_path, monkeypatch, model):
+        force_workers(monkeypatch, 3)
+        cfg = (ag_config(cohort_dir) if model in AUGMENTED_MODELS else
+               base_config(cohort_dir, model=model, graph_path=str(cohort_dir / "graph.tsv")))
+
+        def report_bytes():
+            emit_report(run_experiment(cfg), tmp_path)
+            return (tmp_path / "report.json").read_bytes()
+
+        serial, pooled = load_both_ways(monkeypatch, report_bytes)
+        assert pooled == serial
+        assert multiprocessing.active_children() == []
+
+    def test_loaded_cohorts_identical(self, cohort_dir, tmp_path, monkeypatch):
+        force_workers(monkeypatch, 2)
+        pids, loaded = tmp_path / "pids", []
+        load, align = experiment.load_dataset, experiment.align_common_features
+
+        def recording_load(*args, **kwargs):
+            with open(pids, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return load(*args, **kwargs)
+
+        def recording_align(*cohorts):
+            loaded.append(cohorts)
+            return align(*cohorts)
+
+        monkeypatch.setattr(experiment, "load_dataset", recording_load)
+        monkeypatch.setattr(experiment, "align_common_features", recording_align)
+        cfg = ag_config(cohort_dir)
+        serial, pooled = load_both_ways(monkeypatch, lambda: experiment._load_cohorts(cfg))
+        loader_pids = list(map(int, pids.read_text(encoding="utf-8").split()))
+        assert loader_pids[:3] == [os.getpid()] * 3  # the serial loads
+        assert len(loader_pids) == 6 and os.getpid() not in loader_pids[3:]
+        # the cohorts as loaded, then as aligned
+        for a, b in [*zip(*loaded), *zip(serial, pooled)]:
+            assert a.feature_names == b.feature_names
+            assert a.X.tobytes() == b.X.tobytes()
+            assert a.X.flags.f_contiguous == b.X.flags.f_contiguous
+            assert a.raw_mean.tobytes() == b.raw_mean.tobytes()
+            assert a.raw_std.tobytes() == b.raw_std.tobytes()
+            assert (a.y is None and b.y is None) or a.y.tobytes() == b.y.tobytes()
+        assert multiprocessing.active_children() == []
+
+    def test_label_warning_reaches_caller(self, cohort_dir, tmp_path, monkeypatch):
+        force_workers(monkeypatch, 2)
+        monkeypatch.setattr(experiment, "_POOLED_LOAD_BYTES", 0)
+        path = tmp_path / "train0.csv"
+        text = (cohort_dir / "train.csv").read_bytes()
+        path.write_bytes(text.replace(b",-1\r\n", b",0\r\n"))
+        zeros = text.count(b",-1\r\n")
+        with pytest.warns(UserWarning, match=re.escape(f"{path}: {zeros} label value(s) '0'")):
+            run_experiment(base_config(cohort_dir, train_path=str(path)))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("broken", ["missing", "ragged", "both"])
+    def test_errors_match_serial_load(self, cohort_dir, tmp_path, monkeypatch, broken):
+        force_workers(monkeypatch, 2)
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text((cohort_dir / "validation.csv").read_text(encoding="utf-8")
+                          + "1.0,2.0\r\n", encoding="utf-8")
+        paths = {"validation_path": str(ragged if broken == "ragged" else tmp_path / "no.csv")}
+        if broken == "both":  # the lowest failing file wins
+            paths = {"train_path": str(tmp_path / "no.csv"), "validation_path": str(ragged)}
+        cfg = base_config(cohort_dir, **paths)
+        serial, pooled = load_both_ways(monkeypatch, lambda: experiment._load_cohorts(cfg))
+        assert pooled == serial
+        if broken == "ragged":
+            assert serial == (ValueError, f"{ragged}: row 52 has 2 fields, expected 13")
+        else:
+            assert serial == (FileNotFoundError, f"no such file: {tmp_path / 'no.csv'}")
+        assert multiprocessing.active_children() == []
+
+    def test_small_files_load_serially(self, cohort_dir, monkeypatch):
+        def no_pool(*args):
+            raise AssertionError("small cohorts loaded in the pool")
+
+        monkeypatch.setattr(experiment, "_map_in_order", no_pool)
+        experiment._load_cohorts(ag_config(cohort_dir))
