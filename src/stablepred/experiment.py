@@ -125,6 +125,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
+        if not isinstance(payload, dict):
+            raise ValueError(f"config must be a JSON object, got {payload!r}")
         if (unknown := _unknown_key(payload, cls)) is not None:
             raise ValueError(f"unknown config field {unknown!r}")
         data = _with_settings(payload)
@@ -200,7 +202,7 @@ class StabilityReport:
 
 # Total cohort CSV bytes from which the cohorts load in the fork pool, one file
 # per job.  Starting the pool and pickling the arrays back costs about 50 ms.
-# Two cohorts loaded on 2 vCPUs, serial against pooled (medians of 15-20 calls):
+# Two cohorts loaded on 2 vCPUs, serial against pooled (medians of 5-20 calls):
 # 7.9 MB in all 116-165 against 197 ms, 11.8 MB 288 against 254 ms, 13.7 MB
 # 350 against 287 ms, and 78 MB (2000 x 1000 each) 1.53 against 1.06 s.
 _POOLED_LOAD_BYTES = 12_000_000

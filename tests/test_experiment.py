@@ -211,6 +211,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{message}$"):
             ExperimentConfig.from_json(path)
 
+    def test_config_file_must_hold_an_object(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^config must be a JSON object, got \[1, 2\]$"):
+            ExperimentConfig.from_json(path)
+
     def test_config_json_roundtrip(self, cohort_dir, tmp_path):
         cfg = base_config(cohort_dir)
         path = tmp_path / "cfg.json"
@@ -584,7 +590,7 @@ class TestPooledLoad:
             return (tmp_path / "report.json").read_bytes()
 
         serial, pooled = load_both_ways(monkeypatch, report_bytes)
-        assert pooled == serial
+        assert isinstance(serial, bytes) and pooled == serial
         assert multiprocessing.active_children() == []
 
     def test_loaded_cohorts_identical(self, cohort_dir, tmp_path, monkeypatch):
@@ -606,7 +612,7 @@ class TestPooledLoad:
         cfg = ag_config(cohort_dir)
         serial, pooled = load_both_ways(monkeypatch, lambda: experiment._load_cohorts(cfg))
         loader_pids = list(map(int, pids.read_text(encoding="utf-8").split()))
-        assert loader_pids[:3] == [os.getpid()] * 3  # the serial loads
+        assert loader_pids[:3] == [os.getpid()] * 3  # small files: the serial loads
         assert len(loader_pids) == 6 and os.getpid() not in loader_pids[3:]
         # the cohorts as loaded, then as aligned
         for a, b in [*zip(*loaded), *zip(serial, pooled)]:
@@ -646,10 +652,3 @@ class TestPooledLoad:
         else:
             assert serial == (FileNotFoundError, f"no such file: {tmp_path / 'no.csv'}")
         assert multiprocessing.active_children() == []
-
-    def test_small_files_load_serially(self, cohort_dir, monkeypatch):
-        def no_pool(*args):
-            raise AssertionError("small cohorts loaded in the pool")
-
-        monkeypatch.setattr(experiment, "_map_in_order", no_pool)
-        experiment._load_cohorts(ag_config(cohort_dir))
