@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
+from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -65,17 +67,42 @@ class FeatureRanking:
     order: np.ndarray
 
 
-@dataclass(frozen=True)
 class SubsetFamily:
-    """Per-bootstrap top-k feature index sets."""
+    """Per-bootstrap top-k feature index sets.
 
-    k: int
-    subsets: tuple[frozenset, ...]
+    ``members`` holds set b as row b of a read-only B x k int64 array, in
+    ascending order; ``subsets`` holds them as frozensets, built on first read.
+    """
 
-    def __post_init__(self):
-        for s in self.subsets:
-            if len(s) != self.k:
-                raise ValueError(f"subset of size {len(s)} in a k={self.k} family")
+    def __init__(self, k: int, subsets: tuple[frozenset, ...]):
+        _require_int("k", k, 1)
+        subsets = tuple(subsets)
+        for b, s in enumerate(subsets):
+            if len(s) != k:
+                raise ValueError(f"subset of size {len(s)} in a k={k} family")
+            bad = [i for i in s if isinstance(i, bool) or not isinstance(i, Integral)]
+            if bad:
+                raise ValueError(f"subset {b} holds {bad[0]!r}, not an integer")
+        self._hold(k, np.array([sorted(s) for s in subsets], dtype=np.int64).reshape(-1, k))
+        self.subsets = subsets
+
+    @classmethod
+    def _of(cls, k: int, members: np.ndarray) -> SubsetFamily:
+        """The family whose rows are ``members``, an owned B x k int64 array."""
+        f = cls.__new__(cls)
+        f._hold(k, members)
+        return f
+
+    def _hold(self, k: int, members: np.ndarray) -> None:
+        repeats = np.flatnonzero((np.diff(members, axis=1) <= 0).any(axis=1))
+        if len(repeats):
+            raise ValueError(f"subset {repeats[0]} repeats a member")
+        members.flags.writeable = False
+        self.k, self.members = k, members
+
+    @cached_property
+    def subsets(self) -> tuple[frozenset, ...]:
+        return tuple(map(frozenset, self.members.tolist()))
 
 
 def run_bootstraps(
@@ -230,17 +257,18 @@ def top_k_subsets(e: BootstrapEnsemble, raw_std: np.ndarray, k: int) -> SubsetFa
     _check_raw_std(raw_std, e.n_features)
     scores = np.abs(e.weights)
     scores *= raw_std  # in place: a fresh B x d temporary costs more than the product
-    kth = np.partition(scores, -k, axis=1)[:, -k, None]
-    take = scores >= kth
-    over = np.flatnonzero(take.sum(axis=1) > k)
+    top = np.argpartition(scores, -k, axis=1)[:, -k:]
+    kth = np.take_along_axis(scores, top[:, :1], axis=1)
+    members = np.sort(top, axis=1)
+    over = np.flatnonzero((scores >= kth).sum(axis=1) > k)
     if len(over):
         # rows whose ties at the k-th score overfill: keep the lowest-index ties
         sub, kth_sub = scores[over], kth[over]
         above, ties = sub > kth_sub, sub == kth_sub
         room = k - above.sum(axis=1, keepdims=True)
-        take[over] = above | (ties & (np.cumsum(ties, axis=1) <= room))
-    top = np.nonzero(take)[1].reshape(-1, k)
-    return SubsetFamily(k=k, subsets=tuple(frozenset(row) for row in top.tolist()))
+        take = above | (ties & (np.cumsum(ties, axis=1) <= room))
+        members[over] = np.nonzero(take)[1].reshape(-1, k)
+    return SubsetFamily._of(k, members)
 
 
 def consistency_index(s_i: frozenset, s_j: frozenset, d: int) -> float:
@@ -268,14 +296,13 @@ def mean_consistency(f: SubsetFamily, d: int) -> float:
     an exact ratio of integers, and the result is that exact mean rounded
     once, found in O(B*k + d) without visiting the pairs.
     """
-    b, k = len(f.subsets), f.k
+    b, k, members = len(f.members), f.k, f.members
     if b < 2:
         raise ValueError("at least 2 subsets are required")
     _require_int("k", k, 1, d - 1)
-    members = np.fromiter((i for s in f.subsets for i in s), dtype=np.int64, count=b * k)
     if members.min() < 0 or members.max() >= d:
         raise ValueError(f"subset elements must lie in [0, {d})")
-    counts = np.bincount(members, minlength=d)
+    counts = np.bincount(members.ravel(), minlength=d)
     r, p = int(np.sum(counts * (counts - 1))) // 2, b * (b - 1) // 2
     # Python ints: exact products and one correctly rounded division
     d, k = int(d), int(k)
@@ -309,5 +336,8 @@ def snr_above(
     """Count of the ``top`` ranked features with |SNR| at or above ``threshold``."""
     _require_int("top", top, 1, e.n_features)
     _require_real("threshold", threshold)
+    if len(ranking.order) != e.n_features:
+        raise ValueError(f"ranking of {len(ranking.order)} features for an ensemble "
+                         f"of {e.n_features}")
     values = np.abs(snr(e))
     return int(np.sum(values[ranking.order[:top]] >= threshold))

@@ -139,6 +139,40 @@ class TestConsistencyProperties:
         )
 
 
+class TestSubsetFamily:
+    def test_members_are_the_sets_in_ascending_rows(self):
+        fam = SubsetFamily(k=3, subsets=(frozenset({7, 2, 5}), frozenset({0, 9, 4})))
+        np.testing.assert_array_equal(fam.members, [[2, 5, 7], [0, 4, 9]])
+        assert fam.members.dtype == np.int64
+        assert not fam.members.flags.writeable
+
+    def test_subsets_built_from_members(self):
+        e = ensemble_from([[3.0, 1.0, 2.0, 0.0], [0.0, 1.0, 2.0, 3.0]])
+        fam = top_k_subsets(e, np.ones(4), 2)
+        assert fam.subsets == (frozenset({0, 2}), frozenset({2, 3}))
+        assert fam.subsets is fam.subsets
+
+    @pytest.mark.parametrize("member", [0.5, 1.0, True, "1"])
+    def test_non_integer_member_named_by_subset(self, member):
+        # np.fromiter used to truncate 0.5 to 0, so two different sets scored 1.0
+        with pytest.raises(ValueError, match=rf"subset 1 holds {member!r}, not an integer"):
+            SubsetFamily(k=2, subsets=(frozenset({0, 1}), frozenset({member, 3})))
+
+    def test_repeated_member_named_by_subset(self):
+        with pytest.raises(ValueError, match="subset 2 repeats a member"):
+            SubsetFamily(k=2, subsets=((0, 1), (1, 2), (3, 3)))
+
+    @pytest.mark.parametrize("k", [2.0, True, 0])
+    def test_k_checked_when_built(self, k):
+        # k=2.0 used to build and fail only later, in mean_consistency
+        with pytest.raises(ValueError, match=rf"k must be an integer >= 1, got {k!r}"):
+            SubsetFamily(k=k, subsets=(frozenset({0, 1}), frozenset({1, 2})))
+
+    def test_size_mismatch(self):
+        with pytest.raises(ValueError, match="subset of size 1 in a k=2 family"):
+            SubsetFamily(k=2, subsets=(frozenset({0, 1}), frozenset({1})))
+
+
 class TestMeanConsistency:
     def test_identical_family_is_one(self):
         fam = SubsetFamily(k=2, subsets=(frozenset({0, 1}),) * 4)
@@ -339,6 +373,48 @@ def test_top_k_matches_per_row_ranking_on_sparse_ensemble(k):
     assert fam.subsets == stable_argsort_top_k(weights, raw_std, k)
 
 
+
+@st.composite
+def ranked_ensembles(draw):
+    """Weights with heavy ties: few distinct integer magnitudes, or 80% zeros as
+    in sparse fits; k anywhere in [1, d - 1], its ends included."""
+    b = draw(st.integers(min_value=1, max_value=12))
+    d = draw(st.integers(min_value=2, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if draw(st.booleans()):
+        weights = rng.integers(-3, 4, size=(b, d)).astype(float)
+        raw_std = rng.integers(0, 3, size=d).astype(float)
+    else:
+        weights = rng.standard_normal((b, d)) * (rng.random((b, d)) < 0.2)
+        raw_std = rng.uniform(0.5, 2.0, d) * (rng.random(d) >= 0.1)
+    k = draw(st.sampled_from([1, d - 1]) | st.integers(min_value=1, max_value=d - 1))
+    return weights, raw_std, k
+
+
+@given(ranked_ensembles())
+@settings(max_examples=200, deadline=None)
+def test_top_k_members_are_sorted_stable_argsort_prefix(case):
+    weights, raw_std, k = case
+    fam = top_k_subsets(ensemble_from(weights), raw_std, k)
+    order = np.argsort(-(np.abs(weights) * raw_std), axis=1, kind="stable")
+    np.testing.assert_array_equal(fam.members, np.sort(order[:, :k], axis=1))
+    assert fam.members.dtype == np.int64
+
+
+def test_consistency_path_builds_no_frozenset(monkeypatch):
+    # top_k_subsets -> mean_consistency runs on the B x k array alone; boxing
+    # each row into a frozenset took about half of the reduction's time
+    def refuse(*args):
+        raise AssertionError("frozenset built on the consistency path")
+
+    monkeypatch.setattr(stability, "frozenset", refuse, raising=False)
+    rng = np.random.default_rng(4)
+    weights = rng.standard_normal((50, 30)) * (rng.random((50, 30)) < 0.5)
+    fam = top_k_subsets(ensemble_from(weights), np.ones(30), 10)
+    assert -1.0 <= mean_consistency(fam, 30) <= 1.0
+    with pytest.raises(AssertionError, match="frozenset built"):
+        fam.subsets
+
 class TestSnr:
     def test_zero_variance_nonzero_mean(self):
         e = ensemble_from([[1.0], [1.0], [1.0]])
@@ -393,6 +469,17 @@ class TestSnrAbove:
         ranking = feature_importance(e, np.ones(2))
         with pytest.raises(ValueError, match=rf"top must be an integer in \[1, 2\], got {top!r}"):
             snr_above(e, ranking, top=top)
+
+    @pytest.mark.parametrize("n_ranked", [3, 8])
+    def test_ranking_length_must_match_the_ensemble(self, n_ranked):
+        # a 3-feature ranking used to count over 3 of 6 features, an 8-feature
+        # one to raise a bare IndexError
+        e = ensemble_from(np.ones((2, 6)))
+        ranked = ensemble_from([np.arange(n_ranked)] * 2)  # the last feature ranks first
+        ranking = feature_importance(ranked, np.ones(n_ranked))
+        with pytest.raises(ValueError,
+                           match=f"ranking of {n_ranked} features for an ensemble of 6"):
+            snr_above(e, ranking, top=5)
 
     @pytest.mark.parametrize("threshold", [np.nan, np.inf, True])
     def test_threshold_must_be_finite(self, threshold):
