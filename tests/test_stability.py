@@ -373,7 +373,6 @@ def test_top_k_matches_per_row_ranking_on_sparse_ensemble(k):
     assert fam.subsets == stable_argsort_top_k(weights, raw_std, k)
 
 
-
 @st.composite
 def ranked_ensembles(draw):
     """Weights with heavy ties: few distinct integer magnitudes, or 80% zeros as
@@ -414,6 +413,7 @@ def test_consistency_path_builds_no_frozenset(monkeypatch):
     assert -1.0 <= mean_consistency(fam, 30) <= 1.0
     with pytest.raises(AssertionError, match="frozenset built"):
         fam.subsets
+
 
 class TestSnr:
     def test_zero_variance_nonzero_mean(self):
