@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import warnings
+from contextlib import closing
 from dataclasses import dataclass, replace
 from numbers import Integral, Real
 from pathlib import Path
@@ -228,17 +229,48 @@ def _locate_bad_cell(path: Path, header: list[str]) -> str | None:
     return non_finite
 
 
+# Cells from which ``write_dataset_csv`` formats its rows in the fork pool, in
+# jobs of about ``_WRITE_CHUNK_CELLS`` cells each; formatting costs about 1 us
+# a cell, in ``float.__repr__``.  Cohorts 1000 columns wide on 2 vCPUs, serial
+# against pooled (medians of 7): 300k cells 315 against 327 ms, 400k 310
+# against 327 ms, 500k 469 against 332 ms, 1M 1.03 against 0.62 s and 2M (a
+# 2000 x 1000 cohort) 1.66 against 1.07 s.
+_POOLED_WRITE_CELLS = 500_000
+_WRITE_CHUNK_CELLS = 125_000
+
+
 def write_dataset_csv(d: Dataset, path, label_column: str = DEFAULT_LABEL_COLUMN) -> None:
-    """Write a cohort as a headered CSV, with labels as +1/-1 when present."""
+    """Write a cohort as a headered CSV, with labels as +1/-1 when present.
+
+    A cohort of ``_POOLED_WRITE_CELLS`` cells or more is formatted in
+    contiguous row chunks by forked pool workers, and each chunk is written
+    in row order as soon as it and every earlier one are back, so the parent
+    holds a few chunks at a time and the bytes are the serial write's.
+    """
     X = np.asarray(d.X, dtype=float)  # integer cells would print as "1", not "1.0"
     sep = "," if X.shape[1] else ""
     labels = [f"{sep}{int(v)}\r\n" for v in d.y] if d.labeled else ["\r\n"] * len(X)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(list(d.feature_names) + ([label_column] if d.labeled else []))
+    step = max(1, _WRITE_CHUNK_CELLS // max(1, X.shape[1]))
+    starts = range(0, len(X), step)
+
+    def chunk(i: int) -> str:
         # cells are the repr of a float, as csv.writer wrote them; no such repr
         # holds a comma, a quote or a line break, so none needs quoting
-        for row, end in zip(X, labels):
-            fh.write(",".join(map(repr, row.tolist())) + end)
+        lo = starts[i]
+        return "".join(",".join(map(repr, row)) + end
+                       for row, end in zip(X[lo:lo + step].tolist(), labels[lo:lo + step]))
+
+    if X.size < _POOLED_WRITE_CELLS:
+        chunks = (chunk(i) for i in range(len(starts)))
+    else:
+        from .stability import _imap_in_order
+
+        chunks = _imap_in_order(chunk, len(starts))
+    # closing: a failed write stops the pool now, not when its traceback is freed
+    with closing(chunks), open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(list(d.feature_names) + ([label_column] if d.labeled else []))
+        fh.flush()  # forked workers inherit the file object: leave them no buffered byte
+        fh.writelines(chunks)
 
 
 def _rescale(d: Dataset, reference: Dataset | None) -> Dataset:

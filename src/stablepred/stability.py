@@ -76,13 +76,16 @@ class SubsetFamily:
 
     def __init__(self, k: int, subsets: tuple[frozenset, ...]):
         _require_int("k", k, 1)
-        subsets = tuple(subsets)
+        subsets, int64 = tuple(subsets), np.iinfo(np.int64)
         for b, s in enumerate(subsets):
             if len(s) != k:
                 raise ValueError(f"subset of size {len(s)} in a k={k} family")
             bad = [i for i in s if isinstance(i, bool) or not isinstance(i, Integral)]
             if bad:
                 raise ValueError(f"subset {b} holds {bad[0]!r}, not an integer")
+            bad = [i for i in s if not int64.min <= i <= int64.max]
+            if bad:
+                raise ValueError(f"subset {b} holds {bad[0]!r}, outside the int64 range")
         self._hold(k, np.array([sorted(s) for s in subsets], dtype=np.int64).reshape(-1, k))
         self.subsets = subsets
 
@@ -94,7 +97,7 @@ class SubsetFamily:
         return f
 
     def _hold(self, k: int, members: np.ndarray) -> None:
-        repeats = np.flatnonzero((np.diff(members, axis=1) <= 0).any(axis=1))
+        repeats = np.flatnonzero((members[:, 1:] <= members[:, :-1]).any(axis=1))
         if len(repeats):
             raise ValueError(f"subset {repeats[0]} repeats a member")
         members.flags.writeable = False
@@ -205,16 +208,24 @@ def _run_worker_job(i: int):
 
 
 def _map_in_order(job, n_jobs: int) -> list:
-    """``[job(i) for i in range(n_jobs)]``, in a pool of forked workers when it can.
+    """``[job(i) for i in range(n_jobs)]``, in a pool of forked workers when it can."""
+    return list(_imap_in_order(job, n_jobs))
 
-    Each worker runs OpenBLAS with one thread.  Results come back in job
-    order; a failure raises the error of the lowest failing job, as the serial
-    loop would, and a worker that dies raises ``BrokenProcessPool``.
+
+def _imap_in_order(job, n_jobs: int):
+    """Yield ``job(i)`` for i in ``range(n_jobs)``, from a pool of forked workers
+    when it can, each result as soon as it and every earlier one are done.
+
+    Each worker runs OpenBLAS with one thread.  A failure raises the error of
+    the lowest failing job, as the serial loop would, and a worker that dies
+    raises ``BrokenProcessPool``.  Closing the generator early cancels the
+    jobs no worker has started.
     """
     workers = _worker_count(n_jobs)
     set_blas_threads = _worker_blas_setter() if workers >= 2 else None
     if set_blas_threads is None:
-        return [job(i) for i in range(n_jobs)]
+        yield from map(job, range(n_jobs))
+        return
 
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -227,7 +238,7 @@ def _map_in_order(job, n_jobs: int) -> list:
         initializer=_start_worker,
         initargs=(job, set_blas_threads),
     ) as pool:
-        return list(pool.map(_run_worker_job, range(n_jobs)))
+        yield from pool.map(_run_worker_job, range(n_jobs))
 
 
 def _check_raw_std(raw_std: np.ndarray, n_features: int) -> None:

@@ -7,6 +7,7 @@ model family on the default synthetic cohort bundle.
 
 import dataclasses
 import time
+import warnings
 
 import pytest
 
@@ -15,6 +16,18 @@ from stablepred.experiment import ExperimentConfig, run_experiment
 from stablepred.objectives import HyperParams
 from stablepred.optimizer import OptimizerConfig
 from stablepred.synthetic import DEFAULT_SPEC, generate, make_group_graph
+
+# After a falsified example, hypothesis's pytest plugin imports this module,
+# which imports libcst, whose use of mypy_extensions.TypedDict raises a
+# DeprecationWarning that pyproject.toml turns into an error: the session then
+# stops with INTERNALERROR instead of reporting the failure.  Loaded here with
+# that warning ignored, the plugin's later import finds it loaded.
+try:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        import hypothesis.extra._patching  # noqa: F401
+except ImportError:
+    pass
 
 # frozen settings for the ordering experiment (criteria 6-8)
 EXPERIMENT_SEED = 11

@@ -1,6 +1,8 @@
 """Dataset loading, standardization, alignment, and Laplacian construction."""
 
 import csv
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stablepred import data, stability
 from stablepred.data import (
     Dataset,
     FeatureGraph,
@@ -111,6 +114,129 @@ class TestWriteDatasetCsv:
             d = make_dataset(d.X, feature_names=d.feature_names)
         assert (written_bytes(write_dataset_csv, d, tmp_path / "new.csv")
                 == written_bytes(csv_writer_dataset, d, tmp_path / "old.csv"))
+
+
+def force_workers(monkeypatch, n):
+    monkeypatch.setattr(stability, "_worker_count", lambda n_jobs: min(n_jobs, n))
+
+
+def record_formatting_pids(monkeypatch, path):
+    """Append the pid of the process that formats each cell to ``path``."""
+    def recording_repr(value):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return repr(value)
+
+    monkeypatch.setattr(data, "repr", recording_repr, raising=False)
+
+
+@pytest.mark.skipif(stability._worker_blas_setter() is None,
+                    reason="the write pool needs fork and numpy's bundled OpenBLAS")
+class TestPooledWrite:
+    """Cohorts of ``_POOLED_WRITE_CELLS`` cells or more are formatted in row
+    chunks of about ``_WRITE_CHUNK_CELLS`` cells by pool workers and written in
+    row order, byte for byte as the serial write."""
+
+    @given(
+        st.integers(min_value=0, max_value=6).flatmap(lambda n: st.tuples(
+            st.lists(st.text(max_size=6), min_size=n, max_size=n, unique=True)
+            | st.permutations(QUOTED_NAMES).map(lambda names: names[:n]),
+            st.lists(
+                st.lists(st.sampled_from(EDGE_VALUES) | st.floats(allow_subnormal=True),
+                         min_size=n, max_size=n),
+                min_size=1, max_size=8,
+            ),
+            st.booleans(),
+            # 1 cell: each row wider than a chunk, one row a job; 10**6: one job
+            st.sampled_from([1, 4, 9, 10**6]),
+        ))
+    )
+    @example((["a"], [[1.5]], True, 1))  # one row
+    @example(([], [[], [], []], True, 1))  # no feature columns
+    @example(([], [[], [], []], False, 1))
+    @example((QUOTED_NAMES[:3], [[0.5, -0.0, 1e16]] * 7, False, 4))
+    @settings(max_examples=40, deadline=None)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_bytes_equal_csv_writer(self, tmp_path_factory, case):
+        names, rows, labeled, chunk_cells = case
+        X = np.array(rows).reshape(len(rows), len(names))
+        y = np.where(np.arange(len(X)) % 2, 1.0, -1.0) if labeled else None
+        d = make_dataset(X, y=y, feature_names=names)
+        with pytest.MonkeyPatch.context() as m:
+            force_workers(m, 2)
+            m.setattr(data, "_POOLED_WRITE_CELLS", 0)
+            m.setattr(data, "_WRITE_CHUNK_CELLS", chunk_cells)
+            tmp = tmp_path_factory.mktemp("write")
+            assert (written_bytes(write_dataset_csv, d, tmp / "new.csv")
+                    == written_bytes(csv_writer_dataset, d, tmp / "old.csv"))
+        assert multiprocessing.active_children() == []
+
+    @pytest.fixture
+    def cohort(self):
+        spec = SyntheticSpec(n_samples=40, n_groups=2, group_size=3, n_informative_groups=1, seed=5)
+        return generate(spec)
+
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_chunks_formatted_in_workers(self, tmp_path, monkeypatch, cohort, labeled):
+        d = cohort if labeled else make_dataset(cohort.X, feature_names=cohort.feature_names)
+        expected = written_bytes(csv_writer_dataset, d, tmp_path / "old.csv")
+        pids = tmp_path / "pids"
+        force_workers(monkeypatch, 2)
+        monkeypatch.setattr(data, "_POOLED_WRITE_CELLS", d.X.size)
+        monkeypatch.setattr(data, "_WRITE_CHUNK_CELLS", 30)  # 5 rows: 8 jobs
+        record_formatting_pids(monkeypatch, pids)
+        assert written_bytes(write_dataset_csv, d, tmp_path / "new.csv") == expected
+        formatters = list(map(int, pids.read_text(encoding="utf-8").split()))
+        assert len(formatters) == d.X.size and os.getpid() not in formatters
+        assert multiprocessing.active_children() == []
+
+    def test_failed_write_keeps_row_order_and_stops_the_pool(self, tmp_path, monkeypatch,
+                                                              cohort):
+        expected = written_bytes(csv_writer_dataset, cohort, tmp_path / "old.csv")
+        force_workers(monkeypatch, 2)
+        monkeypatch.setattr(data, "_POOLED_WRITE_CELLS", 0)
+        monkeypatch.setattr(data, "_WRITE_CHUNK_CELLS", 30)  # 5 rows: 8 jobs
+        real_open = open
+
+        class FillingDisk:
+            """A file whose disk fills after the first three chunks."""
+
+            def __init__(self, *args, **kwargs):
+                self.fh = real_open(*args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def writelines(self, chunks):
+                for i, text in enumerate(chunks):
+                    if i == 3:
+                        raise OSError(28, "No space left on device")
+                    self.fh.write(text)
+
+        monkeypatch.setattr(data, "open", FillingDisk, raising=False)
+        with pytest.raises(OSError, match="No space left") as failure:
+            write_dataset_csv(cohort, tmp_path / "new.csv")
+        written = (tmp_path / "new.csv").read_bytes()
+        assert written.count(b"\r\n") == 1 + 15 and expected.startswith(written)
+        # the traceback still holds the writer's frame, and with it the chunks
+        assert failure.traceback and multiprocessing.active_children() == []
+
+    def test_below_threshold_formats_in_parent(self, tmp_path, monkeypatch, cohort):
+        expected = written_bytes(csv_writer_dataset, cohort, tmp_path / "old.csv")
+        pids = tmp_path / "pids"
+        force_workers(monkeypatch, 2)
+        monkeypatch.setattr(data, "_POOLED_WRITE_CELLS", cohort.X.size + 1)
+        monkeypatch.setattr(data, "_WRITE_CHUNK_CELLS", 30)
+        monkeypatch.setattr(stability, "_imap_in_order", None)  # starting a pool would fail
+        record_formatting_pids(monkeypatch, pids)
+        assert written_bytes(write_dataset_csv, cohort, tmp_path / "new.csv") == expected
+        assert pids.read_text(encoding="utf-8").split() == [str(os.getpid())] * cohort.X.size
 
 
 class TestLoadDataset:

@@ -158,6 +158,17 @@ class TestSubsetFamily:
         with pytest.raises(ValueError, match=rf"subset 1 holds {member!r}, not an integer"):
             SubsetFamily(k=2, subsets=(frozenset({0, 1}), frozenset({member, 3})))
 
+    @pytest.mark.parametrize("member", [2**70, -2**63 - 1])
+    def test_member_outside_int64_named_by_subset(self, member):
+        # np.array(..., dtype=np.int64) used to raise a bare OverflowError
+        with pytest.raises(ValueError, match=rf"subset 0 holds {member}, outside the int64 range"):
+            SubsetFamily(k=1, subsets=(frozenset({member}), frozenset({1})))
+
+    def test_int64_extremes_accepted(self):
+        # their difference overflows int64, so rows are compared, not differenced
+        fam = SubsetFamily(k=2, subsets=(frozenset({-2**63, 2**63 - 1}), frozenset({0, 1})))
+        np.testing.assert_array_equal(fam.members, [[-2**63, 2**63 - 1], [0, 1]])
+
     def test_repeated_member_named_by_subset(self):
         with pytest.raises(ValueError, match="subset 2 repeats a member"):
             SubsetFamily(k=2, subsets=((0, 1), (1, 2), (3, 3)))
@@ -648,6 +659,43 @@ class TestBootstrapPool:
             stability._map_in_order(job, 40)
         assert multiprocessing.active_children() == []
         assert len(ran.read_text(encoding="utf-8").split() if ran.exists() else []) < 20
+
+    def test_results_stream_before_later_jobs_finish(self, monkeypatch, tmp_path):
+        # each result is yielded once it and every earlier one are done: jobs
+        # 1-3 wait for a flag that the caller sets only after reading result 0
+        force_workers(monkeypatch, 2)
+        flag = tmp_path / "flag"
+
+        def job(i):
+            deadline = time.monotonic() + 10
+            while i and not flag.exists():
+                if time.monotonic() > deadline:
+                    return "timed out"
+                time.sleep(0.01)
+            return i
+
+        results = stability._imap_in_order(job, 4)
+        assert next(results) == 0
+        flag.touch()
+        assert list(results) == [1, 2, 3]
+        assert multiprocessing.active_children() == []
+
+    def test_closing_the_stream_cancels_queued_jobs(self, monkeypatch, tmp_path):
+        force_workers(monkeypatch, 2)
+        ran = tmp_path / "ran"
+
+        def job(i):
+            if i:
+                time.sleep(0.2)
+            with open(ran, "a", encoding="utf-8") as fh:
+                fh.write(f"{i}\n")
+            return i
+
+        results = stability._imap_in_order(job, 40)
+        assert next(results) == 0
+        results.close()
+        assert multiprocessing.active_children() == []
+        assert len(ran.read_text(encoding="utf-8").split()) < 20
 
     def test_dead_worker_raises(self, monkeypatch):
         # a worker killed from outside (say, for memory) fails the map, not hangs it
