@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ._pool import imap_in_order
+
 __all__ = [
     "Dataset",
     "FeatureGraph",
@@ -263,9 +265,7 @@ def write_dataset_csv(d: Dataset, path, label_column: str = DEFAULT_LABEL_COLUMN
     if X.size < _POOLED_WRITE_CELLS:
         chunks = (chunk(i) for i in range(len(starts)))
     else:
-        from .stability import _imap_in_order
-
-        chunks = _imap_in_order(chunk, len(starts))
+        chunks = imap_in_order(chunk, len(starts))
     # closing: a failed write stops the pool now, not when its traceback is freed
     with closing(chunks), open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(list(d.feature_names) + ([label_column] if d.labeled else []))

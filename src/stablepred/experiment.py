@@ -12,12 +12,12 @@ from __future__ import annotations
 import csv
 import json
 import os
-import warnings
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
+from ._pool import imap_in_order
 from .data import (
     Dataset,
     FeatureGraph,
@@ -36,7 +36,6 @@ from .objectives import HyperParams
 from .optimizer import OptimizerConfig
 from .stability import (
     _bootstraps_and_final_fit,
-    _map_in_order,
     feature_importance,
     mean_consistency,
     snr,
@@ -183,7 +182,13 @@ class StabilityReport:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "StabilityReport":
-        kwargs = _with_settings({f.name: payload[f.name] for f in fields(cls)})
+        if not isinstance(payload, dict):
+            raise ValueError(f"report must be a JSON object, got {payload!r}")
+        if (unknown := _unknown_key(payload, cls)) is not None:
+            raise ValueError(f"unknown report field {unknown!r}")
+        if (missing := next((f.name for f in fields(cls) if f.name not in payload), None)):
+            raise ValueError(f"report field {missing!r} is missing")
+        kwargs = _with_settings(payload)
         for name, keys in _REPORT_ROWS.items():
             kwargs[name] = [tuple(row[key] for key in keys) for row in kwargs[name]]
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in kwargs.items()})
@@ -208,24 +213,11 @@ class StabilityReport:
 _POOLED_LOAD_BYTES = 12_000_000
 
 
-def _load_recording(path, label_column):
-    """``load_dataset``'s result, the warnings it issued and the error it raised,
-    for a pool worker to send back: its own warnings never reach the parent."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            dataset, error = load_dataset(path, label_column=label_column), None
-        except Exception as e:
-            dataset, error = None, e
-    return dataset, [(w.message, w.category, w.filename, w.lineno) for w in caught], error
-
-
 def _load_cohorts(cfg: ExperimentConfig):
     """The aligned train, validation and augment (or None) cohorts.
 
     Large files load in parallel forked workers (``np.loadtxt`` holds the GIL,
-    so threads would not help); each file's warnings are re-issued here and
-    the lowest failing file's error is raised, as the serial loads would.
+    so threads would not help), with the serial loads' warnings and errors.
     """
     jobs = [(cfg.train_path, cfg.label_column), (cfg.validation_path, cfg.label_column)]
     if cfg.augment_path is not None:
@@ -234,14 +226,8 @@ def _load_cohorts(cfg: ExperimentConfig):
     if size < _POOLED_LOAD_BYTES:
         cohorts = [load_dataset(path, label_column=label) for path, label in jobs]
     else:
-        cohorts = []
-        for dataset, caught, error in _map_in_order(lambda i: _load_recording(*jobs[i]),
-                                                    len(jobs)):
-            for message, category, filename, lineno in caught:
-                warnings.warn_explicit(message, category, filename, lineno)
-            if error is not None:
-                raise error
-            cohorts.append(dataset)
+        cohorts = list(imap_in_order(lambda i: load_dataset(jobs[i][0], label_column=jobs[i][1]),
+                                     len(jobs)))
     aligned = align_common_features(*cohorts)
     return aligned if cfg.augment_path is not None else (*aligned, None)
 

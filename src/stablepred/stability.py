@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from functools import cached_property
 from numbers import Integral
 
 import numpy as np
 
+from . import _pool
 from .data import Dataset, _require_int, _require_labeled, _require_real
 from .models import ModelSpec, fit_model
 from .objectives import HyperParams
@@ -121,8 +121,8 @@ def run_bootstraps(
     Bootstrap b resamples the M rows with seed ``base_seed + b`` and uses the
     same seed for parameter initialization, so any single bootstrap can be
     reproduced in isolation.  The fits run in parallel worker processes where
-    the platform allows, with the same results.  Aborts if any fit diverges,
-    reporting the lowest diverging bootstrap.
+    the platform allows, with the same results and warnings.  Aborts if any
+    fit diverges, reporting the lowest diverging bootstrap.
     """
     return _bootstraps_and_final_fit(None, d, model_spec, h, cfg, n_bootstraps, base_seed)[0]
 
@@ -147,9 +147,9 @@ def _bootstraps_and_final_fit(final_fit, d, model_spec, h, cfg, n_bootstraps, ba
         except NumericalDivergenceError as e:
             raise NumericalDivergenceError(f"bootstrap {b}: {e}", e.iteration) from e
 
-    fold = final_fit is not None and n_bootstraps % _worker_count(n_bootstraps + 1) != 0
-    fits = _map_in_order(lambda b: fit(b) if b < n_bootstraps else final_fit(),
-                         n_bootstraps + fold)
+    fold = final_fit is not None and n_bootstraps % _pool._worker_count(n_bootstraps + 1) != 0
+    fits = list(_pool.imap_in_order(lambda b: fit(b) if b < n_bootstraps else final_fit(),
+                                    n_bootstraps + fold))
     final = fits.pop() if fold else final_fit and final_fit()
     ensemble = BootstrapEnsemble(
         weights=np.stack(fits),
@@ -157,88 +157,6 @@ def _bootstraps_and_final_fit(final_fit, d, model_spec, h, cfg, n_bootstraps, ba
         model_tag=model_spec.name,
     )
     return ensemble, final
-
-
-def _worker_count(n_jobs: int) -> int:
-    """One pool worker per CPU this process may run on, at most one per job."""
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(n_jobs, len(os.sched_getaffinity(0)))
-
-
-def _worker_blas_setter():
-    """``openblas_set_num_threads`` of numpy's bundled OpenBLAS, or None where
-    this process cannot run a fork pool: no ``fork``, a daemonic process (it may
-    not start processes), or a BLAS whose threads it cannot bound (MKL,
-    Accelerate, a system OpenBLAS)."""
-    import ctypes
-    import glob
-    import multiprocessing
-
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):
-        return None
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "*openblas*")):
-        lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-                     "openblas_set_num_threads"):
-            if hasattr(lib, name):
-                setter = getattr(lib, name)
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                return setter
-    return None
-
-
-# A pool worker's job, set in each worker by ``_start_worker``, never in the
-# process that owns the pool.
-_worker_job = None
-
-
-def _start_worker(job, set_blas_threads) -> None:
-    # workers that kept OpenBLAS's default thread count would oversubscribe
-    # the CPUs, their threads spinning against each other
-    global _worker_job
-    set_blas_threads(1)
-    _worker_job = job
-
-
-def _run_worker_job(i: int):
-    return _worker_job(i)
-
-
-def _map_in_order(job, n_jobs: int) -> list:
-    """``[job(i) for i in range(n_jobs)]``, in a pool of forked workers when it can."""
-    return list(_imap_in_order(job, n_jobs))
-
-
-def _imap_in_order(job, n_jobs: int):
-    """Yield ``job(i)`` for i in ``range(n_jobs)``, from a pool of forked workers
-    when it can, each result as soon as it and every earlier one are done.
-
-    Each worker runs OpenBLAS with one thread.  A failure raises the error of
-    the lowest failing job, as the serial loop would, and a worker that dies
-    raises ``BrokenProcessPool``.  Closing the generator early cancels the
-    jobs no worker has started.
-    """
-    workers = _worker_count(n_jobs)
-    set_blas_threads = _worker_blas_setter() if workers >= 2 else None
-    if set_blas_threads is None:
-        yield from map(job, range(n_jobs))
-        return
-
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # fork, not spawn: workers inherit the job and the imported modules
-    # instead of importing them again
-    with ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_start_worker,
-        initargs=(job, set_blas_threads),
-    ) as pool:
-        yield from pool.map(_run_worker_job, range(n_jobs))
 
 
 def _check_raw_std(raw_std: np.ndarray, n_features: int) -> None:
@@ -293,6 +211,7 @@ def consistency_index(s_i: frozenset, s_j: frozenset, d: int) -> float:
     k = len(s_i)
     if len(s_j) != k:
         raise ValueError(f"subsets differ in size: {k} vs {len(s_j)}")
+    _require_int("d", d, 2)
     _require_int("k", k, 1, d - 1)
     r = len(s_i & s_j)
     return (r * d - k * k) / (k * (d - k))
@@ -310,6 +229,7 @@ def mean_consistency(f: SubsetFamily, d: int) -> float:
     b, k, members = len(f.members), f.k, f.members
     if b < 2:
         raise ValueError("at least 2 subsets are required")
+    _require_int("d", d, 2)
     _require_int("k", k, 1, d - 1)
     if members.min() < 0 or members.max() >= d:
         raise ValueError(f"subset elements must lie in [0, {d})")

@@ -11,6 +11,7 @@ import warnings
 
 import pytest
 
+from stablepred import _pool
 from stablepred.data import write_dataset_csv, write_feature_graph
 from stablepred.experiment import ExperimentConfig, run_experiment
 from stablepred.objectives import HyperParams
@@ -28,6 +29,17 @@ try:
         import hypothesis.extra._patching  # noqa: F401
 except ImportError:
     pass
+
+needs_pool = pytest.mark.skipif(
+    _pool._worker_blas_setter() is None,
+    reason="the fork pool needs fork and numpy's bundled OpenBLAS",
+)
+
+
+def force_workers(monkeypatch, n):
+    """Run every fork pool, and the final-fit fold rule, with at most ``n`` workers."""
+    monkeypatch.setattr(_pool, "_worker_count", lambda n_jobs: min(n_jobs, n))
+
 
 # frozen settings for the ordering experiment (criteria 6-8)
 EXPERIMENT_SEED = 11

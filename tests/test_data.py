@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stablepred import data, stability
+from stablepred import data
 from stablepred.data import (
     Dataset,
     FeatureGraph,
@@ -26,6 +26,8 @@ from stablepred.data import (
 )
 from stablepred.stability import BootstrapEnsemble, feature_importance
 from stablepred.synthetic import SyntheticSpec, generate
+
+from conftest import force_workers, needs_pool
 
 
 def write_csv(path, text):
@@ -116,10 +118,6 @@ class TestWriteDatasetCsv:
                 == written_bytes(csv_writer_dataset, d, tmp_path / "old.csv"))
 
 
-def force_workers(monkeypatch, n):
-    monkeypatch.setattr(stability, "_worker_count", lambda n_jobs: min(n_jobs, n))
-
-
 def record_formatting_pids(monkeypatch, path):
     """Append the pid of the process that formats each cell to ``path``."""
     def recording_repr(value):
@@ -130,8 +128,7 @@ def record_formatting_pids(monkeypatch, path):
     monkeypatch.setattr(data, "repr", recording_repr, raising=False)
 
 
-@pytest.mark.skipif(stability._worker_blas_setter() is None,
-                    reason="the write pool needs fork and numpy's bundled OpenBLAS")
+@needs_pool
 class TestPooledWrite:
     """Cohorts of ``_POOLED_WRITE_CELLS`` cells or more are formatted in row
     chunks of about ``_WRITE_CHUNK_CELLS`` cells by pool workers and written in
@@ -233,7 +230,7 @@ class TestPooledWrite:
         force_workers(monkeypatch, 2)
         monkeypatch.setattr(data, "_POOLED_WRITE_CELLS", cohort.X.size + 1)
         monkeypatch.setattr(data, "_WRITE_CHUNK_CELLS", 30)
-        monkeypatch.setattr(stability, "_imap_in_order", None)  # starting a pool would fail
+        monkeypatch.setattr(data, "imap_in_order", None)  # starting a pool would fail
         record_formatting_pids(monkeypatch, pids)
         assert written_bytes(write_dataset_csv, cohort, tmp_path / "new.csv") == expected
         assert pids.read_text(encoding="utf-8").split() == [str(os.getpid())] * cohort.X.size

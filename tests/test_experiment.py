@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stablepred import experiment, stability
+from stablepred import experiment
 from stablepred.data import make_dataset, write_dataset_csv, write_feature_graph
 from stablepred.experiment import (
     ExperimentConfig,
@@ -25,6 +25,8 @@ from stablepred.models import AUGMENTED_MODELS, AUTOENCODER_MODELS, GRAPH_MODELS
 from stablepred.objectives import HyperParams
 from stablepred.optimizer import NumericalDivergenceError, OptimizerConfig
 from stablepred.synthetic import SyntheticSpec, generate, make_group_graph
+
+from conftest import force_workers, needs_pool
 
 SPEC = SyntheticSpec(
     n_samples=50, n_groups=3, group_size=4, within_group_noise=0.3,
@@ -370,6 +372,19 @@ class TestSerializationThroughFields:
         assert back.hyperparams == cfg.hyperparams and back.optimizer == cfg.optimizer
         assert isinstance(back.ci_curve, tuple) and isinstance(back.ci_curve[0], tuple)
 
+    def test_report_fields_named(self, cohort_dir):
+        # a missing field used to raise a bare KeyError, and an unknown one was dropped
+        payload = run_experiment(base_config(cohort_dir)).to_dict()
+        assert StabilityReport.from_dict(dict(payload)).to_dict() == payload
+        with pytest.raises(ValueError, match="^report field 'model' is missing$"):
+            StabilityReport.from_dict({})
+        with pytest.raises(ValueError, match="^report field 'f_score' is missing$"):
+            StabilityReport.from_dict({k: v for k, v in payload.items() if k != "f_score"})
+        with pytest.raises(ValueError, match="^unknown report field 'n_feature'$"):
+            StabilityReport.from_dict({**payload, "n_feature": 12})
+        with pytest.raises(ValueError, match=r"^report must be a JSON object, got \[\]$"):
+            StabilityReport.from_dict([])
+
     def test_config_json_bytes(self, cohort_dir):
         for cfg in self.configs(cohort_dir):
             old = dataclasses.asdict(cfg)  # the to_dict of earlier versions
@@ -477,10 +492,6 @@ class TestReportPin:
         assert digest == PINNED_REPORT_SHA256
 
 
-def force_workers(monkeypatch, n):
-    monkeypatch.setattr(stability, "_worker_count", lambda n_jobs: min(n_jobs, n))
-
-
 # SHA-256 of report.json for B = 3, recorded with the final fit run after the
 # bootstrap pool in the parent process; folding it into the pool must keep it.
 FOLDED_REPORT_SHA256 = "fd69a1da59645cc06346b5c66f926ee383a57dab667679926e5c027fa5c74d1b"
@@ -504,8 +515,7 @@ class TestFinalFitInPool:
         assert digest == FOLDED_REPORT_SHA256
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.skipif(stability._worker_blas_setter() is None,
-                        reason="the bootstrap pool needs fork and numpy's bundled OpenBLAS")
+    @needs_pool
     @pytest.mark.parametrize("n_bootstraps, workers, in_worker", [
         (3, 2, True), (2, 4, True), (2, 2, False), (4, 2, False),
     ])
@@ -573,8 +583,7 @@ def load_both_ways(monkeypatch, run):
     return serial, outcome()
 
 
-@pytest.mark.skipif(stability._worker_blas_setter() is None,
-                    reason="the load pool needs fork and numpy's bundled OpenBLAS")
+@needs_pool
 class TestPooledLoad:
     """Cohort files of ``_POOLED_LOAD_BYTES`` or more in all load one per pool
     job, with the same arrays, report bytes, warnings and errors as serially."""

@@ -7,6 +7,7 @@ import os
 import signal
 import time
 import tracemalloc
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from itertools import combinations
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablepred import stability
+from stablepred import _pool, stability
 from stablepred.data import build_laplacian, make_dataset, standardize
 from stablepred.models import ModelSpec
 from stablepred.objectives import HyperParams
@@ -33,6 +34,8 @@ from stablepred.stability import (
     top_k_subsets,
 )
 from stablepred.synthetic import SyntheticSpec, generate, make_group_graph
+
+from conftest import force_workers, needs_pool
 
 
 def ensemble_from(weights, tag="test"):
@@ -78,6 +81,11 @@ class TestConsistencyIndex:
         full = frozenset(range(5))
         with pytest.raises(ValueError):
             consistency_index(full, full, 5)
+
+    @pytest.mark.parametrize("d", [10.9, np.float64(10.9), 1, True])
+    def test_d_must_be_an_integer_above_one(self, d):
+        with pytest.raises(ValueError, match=r"d must be an integer >= 2, got "):
+            consistency_index(frozenset({0, 1}), frozenset({1, 2}), d)
 
     def test_matches_formula_on_random_triples(self):
         rng = np.random.default_rng(0)
@@ -203,6 +211,16 @@ class TestMeanConsistency:
     def test_requires_two_subsets(self):
         with pytest.raises(ValueError):
             mean_consistency(SubsetFamily(k=1, subsets=(frozenset({0}),)), 4)
+
+    @pytest.mark.parametrize("d", [np.float64(10.9), 10.0, 1, True])
+    def test_d_must_be_an_integer_above_one(self, d):
+        fam = SubsetFamily(k=1, subsets=(frozenset({0}), frozenset({1})))
+        with pytest.raises(ValueError, match=r"d must be an integer >= 2, got "):
+            mean_consistency(fam, d)
+
+    def test_numpy_integer_d_accepted(self):
+        fam = SubsetFamily(k=2, subsets=(frozenset({0, 1}), frozenset({1, 2})))
+        assert mean_consistency(fam, np.int64(4)) == mean_consistency(fam, 4) == 0.0
 
     def test_chance_level_near_zero(self):
         # independently drawn subsets: chance-corrected overlap averages to 0
@@ -589,16 +607,6 @@ def blas_threads() -> int:
     raise LookupError("no bundled OpenBLAS")
 
 
-needs_pool = pytest.mark.skipif(
-    stability._worker_blas_setter() is None,
-    reason="the bootstrap pool needs fork and numpy's bundled OpenBLAS",
-)
-
-
-def force_workers(monkeypatch, n):
-    monkeypatch.setattr(stability, "_worker_count", lambda n_jobs: min(n_jobs, n))
-
-
 @needs_pool
 class TestBootstrapPool:
     small_data = TestRunBootstraps.small_data
@@ -606,7 +614,7 @@ class TestBootstrapPool:
 
     def test_jobs_run_in_one_thread_workers_in_order(self, monkeypatch):
         force_workers(monkeypatch, 2)
-        out = stability._map_in_order(lambda i: (i, os.getpid(), blas_threads()), 5)
+        out = list(_pool.imap_in_order(lambda i: (i, os.getpid(), blas_threads()), 5))
         assert [i for i, _, _ in out] == list(range(5))
         assert os.getpid() not in {pid for _, pid, _ in out}
         assert {threads for _, _, threads in out} == {1}
@@ -630,6 +638,30 @@ class TestBootstrapPool:
             assert multiprocessing.active_children() == []
         assert ensembles[2].weights.tobytes() == ensembles[1].weights.tobytes()
         assert ensembles[2].seeds == ensembles[1].seeds == (11, 12, 13)
+
+    def test_fit_warnings_reach_caller(self, monkeypatch):
+        # each pooled fit's warnings are issued in the parent, and a warning
+        # every fit raises at one place is shown once, as it is serially
+        fit_model = stability.fit_model
+
+        def warning_fit(*args, **kwargs):
+            warnings.warn("fit warned", UserWarning)
+            return fit_model(*args, **kwargs)
+
+        monkeypatch.setattr(stability, "fit_model", warning_fit)
+        d, h, seen = self.small_data(), HyperParams(alpha=0.02), {}
+        for n in (1, 2):
+            force_workers(monkeypatch, n)
+            for action in ("always", "default"):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter(action)
+                    run_bootstraps(d, ModelSpec("lasso"), h, self.cfg(), 3, 0)
+                seen[n, action] = [(str(w.message), w.category, w.filename, w.lineno)
+                                   for w in caught]
+            assert multiprocessing.active_children() == []
+        assert seen[2, "always"] == seen[1, "always"]
+        assert [w[:2] for w in seen[1, "always"]] == [("fit warned", UserWarning)] * 3
+        assert seen[2, "default"] == seen[1, "default"] == seen[1, "always"][:1]
 
     def test_divergence_in_a_worker_names_bootstrap_and_iteration(self, monkeypatch):
         force_workers(monkeypatch, 2)
@@ -656,7 +688,7 @@ class TestBootstrapPool:
             return i
 
         with pytest.raises(ValueError, match="job 0 failed"):
-            stability._map_in_order(job, 40)
+            list(_pool.imap_in_order(job, 40))
         assert multiprocessing.active_children() == []
         assert len(ran.read_text(encoding="utf-8").split() if ran.exists() else []) < 20
 
@@ -674,7 +706,7 @@ class TestBootstrapPool:
                 time.sleep(0.01)
             return i
 
-        results = stability._imap_in_order(job, 4)
+        results = _pool.imap_in_order(job, 4)
         assert next(results) == 0
         flag.touch()
         assert list(results) == [1, 2, 3]
@@ -691,7 +723,7 @@ class TestBootstrapPool:
                 fh.write(f"{i}\n")
             return i
 
-        results = stability._imap_in_order(job, 40)
+        results = _pool.imap_in_order(job, 40)
         assert next(results) == 0
         results.close()
         assert multiprocessing.active_children() == []
@@ -708,7 +740,7 @@ class TestBootstrapPool:
             return i
 
         with pytest.raises(BrokenProcessPool):
-            stability._map_in_order(job, 3)
+            list(_pool.imap_in_order(job, 3))
         assert multiprocessing.active_children() == []
 
     def test_serial_inside_a_daemon_process(self, monkeypatch):
