@@ -4,19 +4,16 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
 from .data import write_dataset_csv, write_feature_graph
-from .experiment import ExperimentConfig, compare_models, emit_report, run_experiment
+from .experiment import ExperimentConfig, _read_json, compare_models, emit_report, run_experiment
 from .synthetic import SyntheticSpec, generate, make_group_graph
 
 
 def _cmd_gen_synthetic(args) -> int:
-    with open(args.spec, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    spec = SyntheticSpec(**payload)
+    spec = _read_json(SyntheticSpec, args.spec, "spec")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

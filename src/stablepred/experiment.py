@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -58,20 +58,40 @@ SNR_THRESHOLD = 1.96
 _SETTINGS = {"hyperparams": HyperParams, "optimizer": OptimizerConfig}
 
 
-def _unknown_key(payload: dict, cls):
-    """The first key of ``payload`` that names no field of ``cls``, else None."""
-    names = {f.name for f in fields(cls)}
-    return next((key for key in payload if key not in names), None)
+def _checked_object(payload, names, required, what: str) -> dict:
+    """``payload`` if it is a JSON object whose keys lie in ``names`` and cover ``required``."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} must be a JSON object, got {payload!r}")
+    if (unknown := next((key for key in payload if key not in names), None)) is not None:
+        raise ValueError(f"unknown {what} field {unknown!r}")
+    if (missing := next((name for name in required if name not in payload), None)) is not None:
+        raise ValueError(f"{what} field {missing!r} is missing")
+    return payload
 
 
-def _with_settings(payload: dict) -> dict:
-    for key, cls in _SETTINGS.items():
-        if key in payload:
-            if not isinstance(payload[key], dict):
-                raise ValueError(f"{key} must be a JSON object, got {payload[key]!r}")
-            if (unknown := _unknown_key(payload[key], cls)) is not None:
-                raise ValueError(f"{key} has no field {unknown!r}")
-    return {**payload, **{k: cls(**payload[k]) for k, cls in _SETTINGS.items() if k in payload}}
+def _from_payload(cls, payload, what: str):
+    """The dataclass ``cls`` read from its JSON object; a bad key is named with ``what``."""
+    declared = {f.name: f for f in fields(cls)}
+    required = [f.name for f in declared.values() if f.default is f.default_factory is MISSING]
+    kwargs = dict(_checked_object(payload, declared, required, what))
+    for name, value in payload.items():
+        if name in _SETTINGS:
+            kwargs[name] = _from_payload(_SETTINGS[name], value, name)
+        elif name in _REPORT_ROWS:  # each row is a JSON object holding exactly its keys
+            if not isinstance(value, list):
+                raise ValueError(f"{what} {name} must be a JSON list, got {value!r}")
+            keys = _REPORT_ROWS[name]
+            rows = (_checked_object(row, keys, keys, f"{what} {name} row {i}")
+                    for i, row in enumerate(value))
+            kwargs[name] = tuple(tuple(row[key] for key in keys) for row in rows)
+        elif isinstance(value, list) and str(declared[name].type).startswith("tuple"):
+            kwargs[name] = tuple(value)
+    return cls(**kwargs)
+
+
+def _read_json(cls, path, what: str):
+    with open(path, encoding="utf-8") as fh:
+        return _from_payload(cls, json.load(fh), what)
 
 
 # ExperimentConfig's string fields, each mapped to whether it may be null.
@@ -124,22 +144,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
-        if not isinstance(payload, dict):
-            raise ValueError(f"config must be a JSON object, got {payload!r}")
-        if (unknown := _unknown_key(payload, cls)) is not None:
-            raise ValueError(f"unknown config field {unknown!r}")
-        data = _with_settings(payload)
-        if isinstance(data.get("k_list"), list):
-            data["k_list"] = tuple(data["k_list"])
-        return cls(**data)
+        return _from_payload(cls, payload, "config")
 
     def to_dict(self) -> dict:
         return asdict(self)  # json writes k_list's tuple as a list
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return _read_json(cls, path, "config")
 
 
 # Report fields held as tuples of rows, written as lists of keyed objects.
@@ -182,21 +194,11 @@ class StabilityReport:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "StabilityReport":
-        if not isinstance(payload, dict):
-            raise ValueError(f"report must be a JSON object, got {payload!r}")
-        if (unknown := _unknown_key(payload, cls)) is not None:
-            raise ValueError(f"unknown report field {unknown!r}")
-        if (missing := next((f.name for f in fields(cls) if f.name not in payload), None)):
-            raise ValueError(f"report field {missing!r} is missing")
-        kwargs = _with_settings(payload)
-        for name, keys in _REPORT_ROWS.items():
-            kwargs[name] = [tuple(row[key] for key in keys) for row in kwargs[name]]
-        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in kwargs.items()})
+        return _from_payload(cls, payload, "report")
 
     @classmethod
     def from_json(cls, path) -> "StabilityReport":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return _read_json(cls, path, "report")
 
     def mean_ci_at(self, k: int) -> float:
         for kk, v in self.ci_curve:

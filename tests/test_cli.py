@@ -52,6 +52,20 @@ class TestGenSynthetic:
         assert len(graph.edges) == 9  # 3 groups x C(3,2)
         assert "train.csv" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("payload,message", [
+        # these used to print SyntheticSpec's own TypeErrors: an unexpected keyword
+        # argument, and an argument after ** that must be a mapping
+        ({"n_sample": 3}, "unknown spec field 'n_sample'"),
+        ([1], "spec must be a JSON object, got [1]"),
+    ], ids=["unknown-key", "non-object"])
+    def test_bad_spec_named(self, tmp_path, capsys, payload, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(payload), encoding="utf-8")
+        code = main(["gen-synthetic", "--spec", str(spec), "--out", str(tmp_path / "coh")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "coh").exists()
+
     def test_missing_spec_file_fails(self, tmp_path, capsys):
         code = main(["gen-synthetic", "--spec", str(tmp_path / "none.json"), "--out", str(tmp_path)])
         assert code == 1

@@ -200,8 +200,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("section,key,message", [
         (None, "n_bootstrap", "unknown config field 'n_bootstrap'"),
-        ("hyperparams", "alpha_", "hyperparams has no field 'alpha_'"),
-        ("optimizer", "lr", "optimizer has no field 'lr'"),
+        ("hyperparams", "alpha_", "unknown hyperparams field 'alpha_'"),
+        ("optimizer", "lr", "unknown optimizer field 'lr'"),
     ])
     def test_unknown_keys_in_config_file_rejected(self, cohort_dir, tmp_path, section, key,
                                                   message):
@@ -372,18 +372,42 @@ class TestSerializationThroughFields:
         assert back.hyperparams == cfg.hyperparams and back.optimizer == cfg.optimizer
         assert isinstance(back.ci_curve, tuple) and isinstance(back.ci_curve[0], tuple)
 
-    def test_report_fields_named(self, cohort_dir):
-        # a missing field used to raise a bare KeyError, and an unknown one was dropped
+    @pytest.mark.parametrize("what", ["config", "report"])
+    def test_report_fields_named(self, cohort_dir, what):
+        # a missing field used to raise a bare KeyError from the report and a TypeError from
+        # the config's constructor, and an unknown report field was dropped
+        cfg = base_config(cohort_dir)
+        cls, payload, partial, first, last = {
+            "config": (ExperimentConfig, cfg.to_dict(), {"model": "lasso"}, "train_path",
+                       "validation_path"),
+            "report": (StabilityReport, run_experiment(cfg).to_dict(), {}, "model", "f_score"),
+        }[what]
+        assert cls.from_dict(dict(payload)).to_dict() == payload
+        with pytest.raises(ValueError, match=f"^{what} field '{first}' is missing$"):
+            cls.from_dict(partial)
+        with pytest.raises(ValueError, match=f"^{what} field '{last}' is missing$"):
+            cls.from_dict({k: v for k, v in payload.items() if k != last})
+        with pytest.raises(ValueError, match=f"^unknown {what} field 'n_feature'$"):
+            cls.from_dict({**payload, "n_feature": 12})
+        with pytest.raises(ValueError, match=rf"^{what} must be a JSON object, got \[\]$"):
+            cls.from_dict([])
+
+    @pytest.mark.parametrize("name,rows,message", [
+        # a row missing a key used to raise a bare KeyError, a list or number row an
+        # unlocated TypeError, and an extra key was dropped
+        ("ci_curve", [{"k": 20}], "report ci_curve row 0 field 'mean_ci' is missing"),
+        ("ci_curve", [[20, 0.5]], r"report ci_curve row 0 must be a JSON object, got \[20, 0.5\]"),
+        ("ci_curve", [{"k": 3, "mean_ci": 0.5}, 5],
+         "report ci_curve row 1 must be a JSON object, got 5"),
+        ("snr_top", [{"rank": 1, "feature": "f", "snr": 2.0, "k": 3}],
+         "unknown report snr_top row 0 field 'k'"),
+        ("ci_curve", {"k": 20, "mean_ci": 0.5},
+         r"report ci_curve must be a JSON list, got \{'k': 20, 'mean_ci': 0.5\}"),
+    ], ids=["missing-key", "list-row", "number-row", "extra-key", "object-rows"])
+    def test_report_rows_named(self, cohort_dir, name, rows, message):
         payload = run_experiment(base_config(cohort_dir)).to_dict()
-        assert StabilityReport.from_dict(dict(payload)).to_dict() == payload
-        with pytest.raises(ValueError, match="^report field 'model' is missing$"):
-            StabilityReport.from_dict({})
-        with pytest.raises(ValueError, match="^report field 'f_score' is missing$"):
-            StabilityReport.from_dict({k: v for k, v in payload.items() if k != "f_score"})
-        with pytest.raises(ValueError, match="^unknown report field 'n_feature'$"):
-            StabilityReport.from_dict({**payload, "n_feature": 12})
-        with pytest.raises(ValueError, match=r"^report must be a JSON object, got \[\]$"):
-            StabilityReport.from_dict([])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            StabilityReport.from_dict({**payload, name: rows})
 
     def test_config_json_bytes(self, cohort_dir):
         for cfg in self.configs(cohort_dir):
