@@ -293,8 +293,9 @@ def _rescale(d: Dataset, reference: Dataset | None) -> Dataset:
             if not np.isfinite(stat).all():
                 j = np.flatnonzero(~np.isfinite(stat))[0]
                 raise ValueError(f"reference {name} is {stat[j]} at column {d.feature_names[j]!r}")
-    centered = d.X - mean
-    scaled = np.divide(centered, std, out=np.zeros_like(centered), where=std > 0)
+    scaled = d.X - mean  # the one full-size buffer: divided in place
+    np.divide(scaled, std, out=scaled, where=std > 0)
+    scaled[:, ~(std > 0)] = 0.0
     return replace(d, X=scaled, standardized=True)
 
 
@@ -369,7 +370,10 @@ def build_laplacian(g: FeatureGraph, feature_names) -> np.ndarray:
         i, j = index[a], index[b]
         adj[i, j] += w
         adj[j, i] += w
-    return np.diag(adj.sum(axis=1)) - adj
+    degrees = adj.sum(axis=1)
+    lap = np.subtract(0.0, adj, out=adj)  # in place; 0.0 - a, not -a: empty cells stay +0.0
+    lap[np.diag_indices(n)] = degrees  # no self-loops: the diagonal of adj was 0
+    return lap
 
 
 def load_feature_graph(path) -> FeatureGraph:

@@ -13,7 +13,9 @@ import csv
 import json
 import os
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from numbers import Integral, Real
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -157,6 +159,24 @@ class ExperimentConfig:
 # Report fields held as tuples of rows, written as lists of keyed objects.
 _REPORT_ROWS = {"ci_curve": ("k", "mean_ci"), "snr_top": ("rank", "feature", "snr")}
 
+# The scalar annotations of report values: the type each must be, and its name.
+_SCALARS = {int: (Integral, "an integer"), float: (Real, "a number"), str: (str, "a string")}
+
+
+def _check_annotated(value, hint, where: str) -> None:
+    """Reject ``value`` unless it is what the annotation ``hint`` names: an
+    integer (not a bool), a number (an integer or float, +-inf included), a
+    string, an instance of a class, or a tuple of any of these."""
+    if get_origin(hint) is tuple:
+        if not isinstance(value, tuple):
+            raise ValueError(f"{where} must be a tuple (a list in JSON), got {value!r}")
+        for i, item in enumerate(value):
+            _check_annotated(item, get_args(hint)[0], f"{where} entry {i}")
+        return
+    kind, name = _SCALARS.get(hint, (hint, f"a {hint.__name__}"))
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{where} must be {name}, got {value!r}")
+
 
 @dataclass(frozen=True)
 class StabilityReport:
@@ -185,6 +205,16 @@ class StabilityReport:
     dropped_graph_edges: int
     hyperparams: HyperParams
     optimizer: OptimizerConfig
+
+    def __post_init__(self):
+        for name, hint in get_type_hints(StabilityReport).items():
+            if name not in _REPORT_ROWS:
+                _check_annotated(getattr(self, name), hint, f"report field {name!r}")
+                continue
+            row_hints = get_args(get_args(hint)[0])
+            for i, row in enumerate(getattr(self, name)):  # a row read from JSON holds its keys
+                for key, item, item_hint in zip(_REPORT_ROWS[name], row, row_hints):
+                    _check_annotated(item, item_hint, f"report {name} row {i} field {key!r}")
 
     def to_dict(self) -> dict:
         out = asdict(self)  # json writes tuples as lists
@@ -263,9 +293,13 @@ def run_experiment(cfg: ExperimentConfig) -> StabilityReport:
 
     lap, dropped_edges = _build_laplacian_for(cfg, train)
 
+    # each raw cohort is released once its standardized form exists
     train_s = standardize(train)
-    validation_s = standardize_like(validation, train)
+    del train
+    validation_s = standardize_like(validation, train_s)
+    del validation
     augment_rows = standardize(augment).X if augment is not None else None
+    del augment
 
     spec = ModelSpec(name=cfg.model, laplacian=lap, augment=augment_rows)
     base_seed = cfg.optimizer.seed
@@ -294,8 +328,8 @@ def run_experiment(cfg: ExperimentConfig) -> StabilityReport:
 
     return StabilityReport(
         model=cfg.model,
-        n_train=train.n_samples,
-        n_validation=validation.n_samples,
+        n_train=train_s.n_samples,
+        n_validation=validation_s.n_samples,
         n_features=n,
         n_bootstraps=cfg.n_bootstraps,
         base_seed=base_seed,

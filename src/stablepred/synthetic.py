@@ -71,7 +71,10 @@ def generate(spec: SyntheticSpec, labeled: bool = True) -> Dataset:
     m, G, g = spec.n_samples, spec.n_groups, spec.group_size
     z = rng.standard_normal((m, G))
     eps = rng.standard_normal((m, G * g))
-    X = np.repeat(z, g, axis=1) + spec.within_group_noise * eps
+    eps *= spec.within_group_noise  # in place, and freed before make_dataset's std pass
+    X = np.repeat(z, g, axis=1)
+    X += eps
+    del eps
 
     y = None
     if labeled:

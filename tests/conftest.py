@@ -7,8 +7,10 @@ model family on the default synthetic cohort bundle.
 
 import dataclasses
 import time
+import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
 from stablepred import _pool
@@ -39,6 +41,22 @@ needs_pool = pytest.mark.skipif(
 def force_workers(monkeypatch, n):
     """Run every fork pool, and the final-fit fold rule, with at most ``n`` workers."""
     monkeypatch.setattr(_pool, "_worker_count", lambda n_jobs: min(n_jobs, n))
+
+
+def traced_peak(f):
+    """``f()`` and the peak bytes allocated while it ran, as tracemalloc counts
+    them: numpy's buffers included and, unlike resident memory, the same on
+    every run."""
+    tracemalloc.start()
+    try:
+        return f(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def same_bits(a, b):
+    """Equal arrays whose zeros carry the same signs."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 # frozen settings for the ordering experiment (criteria 6-8)

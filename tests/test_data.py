@@ -27,7 +27,7 @@ from stablepred.data import (
 from stablepred.stability import BootstrapEnsemble, feature_importance
 from stablepred.synthetic import SyntheticSpec, generate
 
-from conftest import force_workers, needs_pool
+from conftest import force_workers, needs_pool, same_bits, traced_peak
 
 
 def write_csv(path, text):
@@ -461,6 +461,36 @@ class TestStandardize:
         with pytest.raises(ValueError, match=message):
             standardize_like(make_dataset([[1.0, 2.0], [5.0, 4.0]]), ref)
 
+    @staticmethod
+    def two_buffers(X, mean, std):
+        # the form that held a zeros buffer beside the centered copy
+        centered = X - mean
+        return np.divide(centered, std, out=np.zeros_like(centered), where=std > 0)
+
+    def test_same_bits_as_two_buffer_form(self):
+        rng = np.random.default_rng(9)
+        X = rng.normal(2.0, 3.0, size=(40, 4))
+        X[:, 1] = 0.7  # a constant column
+        d = make_dataset(X)
+        assert same_bits(standardize(d).X, self.two_buffers(X, d.raw_mean, d.raw_std))
+        # the reference holds column 2 constant; its column 0 has mean +0.0, so the
+        # cell -0.0 centers to -0.0
+        ref_X = rng.normal(size=(30, 4))
+        ref_X[:, 0] = np.tile([-1.5, 1.5], 15)
+        ref_X[:, 2] = -4.0
+        ref = make_dataset(ref_X)
+        other = rng.normal(size=(25, 4))
+        other[0, 0] = -0.0
+        got = standardize_like(make_dataset(other), ref).X
+        want = self.two_buffers(other, ref.raw_mean, ref.raw_std)
+        assert ref.raw_std[2] == 0.0 and np.signbit(want[0, 0]) and same_bits(got, want)
+
+    def test_traced_peak_is_one_cohort(self):
+        d = make_dataset(np.random.default_rng(10).normal(size=(2000, 500)))
+        for rescale in (standardize, lambda d: standardize_like(d, d)):
+            _, peak = traced_peak(lambda: rescale(d))
+            assert peak <= 1.1 * d.X.nbytes  # 2.01 with a zeros buffer beside the copy
+
 
 def same_bytes(a, b):
     return a is b is None or np.asarray(a).tobytes() == np.asarray(b).tobytes()
@@ -594,6 +624,24 @@ class TestLaplacian:
         # a bool used to be taken as 1.0, and a string failed the comparison
         with pytest.raises(ValueError, match=rf"edge \('a', 'b'\) weight .*, got {w!r}$"):
             FeatureGraph(edges=(("a", "b", w),))
+
+    def test_same_bits_as_two_buffer_form(self):
+        names = ["a", "b", "c", "d", "isolated"]
+        edges = (("a", "b", 0.3), ("b", "c", 2.5), ("b", "a", 0.1), ("d", "c", 1e-3),
+                 ("a", "d", 7.0))  # a repeated edge, with non-unit weights
+        adj = np.zeros((5, 5))
+        for a, b, w in edges:
+            i, j = names.index(a), names.index(b)
+            adj[i, j] += w
+            adj[j, i] += w
+        got = build_laplacian(FeatureGraph(edges=edges), names)
+        assert same_bits(got, np.diag(adj.sum(axis=1)) - adj)
+
+    def test_traced_peak_is_one_matrix(self):
+        names = [f"f{i}" for i in range(500)]
+        g = FeatureGraph(edges=tuple((a, b, 0.5) for a, b in zip(names, names[1:])))
+        lap, peak = traced_peak(lambda: build_laplacian(g, names))
+        assert peak <= 1.1 * lap.nbytes  # 2.02 with the degree matrix as a second buffer
 
     @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity", "-2"])
     def test_bad_weight_in_tsv_names_row(self, tmp_path, cell):

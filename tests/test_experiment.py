@@ -409,6 +409,37 @@ class TestSerializationThroughFields:
         with pytest.raises(ValueError, match=f"^{message}$"):
             StabilityReport.from_dict({**payload, name: rows})
 
+    @pytest.mark.parametrize("changes,message", [
+        # these read back, and mean_ci_at(20) failed later with a KeyError
+        ({"bootstrap_seeds": 5, "n_train": "x", "ci_curve": [{"k": "20", "mean_ci": None}]},
+         "report field 'n_train' must be an integer, got 'x'"),
+        ({"ci_curve": [{"k": "20", "mean_ci": None}]},
+         "report ci_curve row 0 field 'k' must be an integer, got '20'"),
+        ({"ci_curve": [{"k": 20, "mean_ci": None}]},
+         "report ci_curve row 0 field 'mean_ci' must be a number, got None"),
+        ({"snr_top": [{"rank": 1, "feature": 3, "snr": 2.0}]},
+         "report snr_top row 0 field 'feature' must be a string, got 3"),
+        ({"n_validation": True}, "report field 'n_validation' must be an integer, got True"),
+        ({"validation_auc": "0.5"}, "report field 'validation_auc' must be a number, got '0.5'"),
+        ({"model": None}, "report field 'model' must be a string, got None"),
+        ({"bootstrap_seeds": 5},
+         r"report field 'bootstrap_seeds' must be a tuple \(a list in JSON\), got 5"),
+        ({"mean_weights": [0.5, "a"]},
+         "report field 'mean_weights' entry 1 must be a number, got 'a'"),
+    ], ids=["found", "row-k", "row-null", "row-feature", "bool", "string-number", "null-string",
+            "number-tuple", "tuple-entry"])
+    def test_report_values_typed(self, cohort_dir, changes, message):
+        payload = run_experiment(base_config(cohort_dir)).to_dict()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            StabilityReport.from_dict({**payload, **changes})
+
+    def test_report_numbers_may_be_integers_or_infinite(self, cohort_dir):
+        payload = run_experiment(base_config(cohort_dir)).to_dict()
+        changes = {"f_threshold": -math.inf, "validation_auc": 1, "mean_weights": [math.inf]}
+        report = StabilityReport.from_dict({**payload, **changes})
+        assert (report.f_threshold, report.validation_auc, report.mean_weights) == (
+            -math.inf, 1, (math.inf,))
+
     def test_config_json_bytes(self, cohort_dir):
         for cfg in self.configs(cohort_dir):
             old = dataclasses.asdict(cfg)  # the to_dict of earlier versions

@@ -10,6 +10,8 @@ from stablepred.objectives import HyperParams
 from stablepred.optimizer import OptimizerConfig
 from stablepred.synthetic import DEFAULT_SPEC, SyntheticSpec, generate, make_group_graph
 
+from conftest import same_bits, traced_peak
+
 
 def within_group_correlations(d, spec):
     out = []
@@ -29,6 +31,21 @@ class TestGenerate:
         for gi in range(2):
             cols = d.X[:, gi * 3 : (gi + 1) * 3]
             assert np.all(cols == cols[:, [0]])
+
+    @pytest.mark.parametrize("spec", [DEFAULT_SPEC, SyntheticSpec(within_group_noise=0.0)],
+                             ids=["default", "no-noise"])
+    def test_same_bits_as_one_expression(self, spec):
+        # the expression that held the scaled noise beside the repeated latents
+        rng = np.random.default_rng(spec.seed)
+        z = rng.standard_normal((spec.n_samples, spec.n_groups))
+        eps = rng.standard_normal((spec.n_samples, spec.n_features))
+        want = np.repeat(z, spec.group_size, axis=1) + spec.within_group_noise * eps
+        assert same_bits(generate(spec).X, want)
+
+    def test_traced_peak_is_two_cohorts(self):
+        d, peak = traced_peak(lambda: generate(SyntheticSpec(n_samples=2000, n_groups=50)))
+        assert d.X.shape == (2000, 500)
+        assert peak <= 2.2 * d.X.nbytes  # 3.12 with the scaled noise as a third buffer
 
     def test_noise_point_one_high_correlation(self):
         spec = SyntheticSpec(n_samples=500, n_groups=4, group_size=5,
