@@ -2,13 +2,11 @@
 # Generate a correlated synthetic cohort, inspect its group structure, and
 # write the CSV/TSV bundle the experiment runner consumes.
 
-import dataclasses
 from pathlib import Path
 
 import numpy as np
 
-from stablepred import DEFAULT_SPEC, generate, make_group_graph
-from stablepred.data import write_dataset_csv, write_feature_graph
+from stablepred import DEFAULT_SPEC, generate, make_group_graph, write_bundle
 
 spec = DEFAULT_SPEC
 print(f"spec: M={spec.n_samples}, {spec.n_groups} groups x {spec.group_size} features, "
@@ -35,11 +33,6 @@ print(f"group graph: {len(graph.edges)} edges "
       f"({spec.n_groups} cliques of C({g},2) = {g*(g-1)//2})")
 
 out = Path("demo_output/cohorts")
-out.mkdir(parents=True, exist_ok=True)
-write_dataset_csv(train, out / "train.csv")
-write_dataset_csv(generate(dataclasses.replace(spec, seed=spec.seed + 1)), out / "validation.csv")
-write_dataset_csv(generate(dataclasses.replace(spec, seed=spec.seed + 2), labeled=False),
-                  out / "augment.csv")
-write_feature_graph(graph, out / "graph.tsv")
+write_bundle(spec, out)
 print(f"wrote train/validation/augment CSVs and graph.tsv under {out}/")
 print("(the same bundle is produced by: stablepred gen-synthetic --spec spec.json --out DIR)")

@@ -9,53 +9,18 @@ import dataclasses
 import time
 from pathlib import Path
 
-from stablepred import (
-    DEFAULT_SPEC,
-    ExperimentConfig,
-    HyperParams,
-    OptimizerConfig,
-    compare_models,
-    generate,
-    make_group_graph,
-)
-from stablepred.data import write_dataset_csv, write_feature_graph
+from stablepred import DEFAULT_SPEC, HyperParams, acceptance_configs, compare_models, write_bundle
 
 out = Path("demo_output/comparison")
-out.mkdir(parents=True, exist_ok=True)
-spec = DEFAULT_SPEC
-write_dataset_csv(generate(spec), out / "train.csv")
-write_dataset_csv(generate(dataclasses.replace(spec, seed=spec.seed + 1)), out / "validation.csv")
-write_dataset_csv(generate(dataclasses.replace(spec, seed=spec.seed + 2), labeled=False),
-                  out / "augment.csv")
-write_feature_graph(make_group_graph(spec), out / "graph.tsv")
+write_bundle(DEFAULT_SPEC, out)
 
-shared = dict(
-    train_path=str(out / "train.csv"),
-    validation_path=str(out / "validation.csv"),
-    optimizer=OptimizerConfig(max_iters=1500, learning_rate=0.02, rel_tol=1e-7, seed=11),
-    n_bootstraps=12,
-    k_list=(10, 20, 40),
-    top_for_snr=20,
-)
-graph = str(out / "graph.tsv")
-augment = str(out / "augment.csv")
-h_ae = dict(alpha=0.05, lambda_ae=100.0, lambda_l2=1e-3, hidden_units=10)
-
-configs = [
-    ExperimentConfig(model="lasso", hyperparams=HyperParams(alpha=0.01), **shared),
-    ExperimentConfig(model="elastic-net",
-                     hyperparams=HyperParams(alpha=0.01, lambda_en=0.3), **shared),
-    ExperimentConfig(model="lasso-graph",
-                     hyperparams=HyperParams(alpha=0.01, lambda_fg=0.015),
-                     graph_path=graph, **shared),
-    ExperimentConfig(model="lasso-autoencoder", hyperparams=HyperParams(**h_ae), **shared),
-    ExperimentConfig(model="lasso-autoencoder-graph",
-                     hyperparams=HyperParams(**h_ae, lambda_fg=0.1),
-                     graph_path=graph, **shared),
-    ExperimentConfig(model="ag-lasso-autoencoder-graph",
-                     hyperparams=HyperParams(**h_ae, lambda_fg=0.1),
-                     graph_path=graph, augment_path=augment, **shared),
-]
+# the acceptance configs at reduced size, with elastic-net beside lasso
+acceptance = acceptance_configs(out)
+optimizer = dataclasses.replace(acceptance["lasso"].optimizer, max_iters=1500)
+configs = [dataclasses.replace(cfg, optimizer=optimizer, n_bootstraps=12, k_list=(10, 20, 40))
+           for cfg in acceptance.values()]
+configs.insert(1, dataclasses.replace(configs[0], model="elastic-net",
+                                      hyperparams=HyperParams(alpha=0.01, lambda_en=0.3)))
 
 start = time.time()
 reports = compare_models(configs, output_dir=out)

@@ -65,6 +65,13 @@ from .stability import (
     snr_above,
     top_k_subsets,
 )
-from .synthetic import DEFAULT_SPEC, SyntheticSpec, generate, make_group_graph
+from .synthetic import (
+    DEFAULT_SPEC,
+    SyntheticSpec,
+    acceptance_configs,
+    generate,
+    make_group_graph,
+    write_bundle,
+)
 
 __version__ = "0.1.0"

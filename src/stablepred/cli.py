@@ -3,31 +3,18 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
-from .data import write_dataset_csv, write_feature_graph
 from .experiment import ExperimentConfig, _read_json, compare_models, emit_report, run_experiment
-from .synthetic import SyntheticSpec, generate, make_group_graph
+from .synthetic import SyntheticSpec, write_bundle
 
 
 def _cmd_gen_synthetic(args) -> int:
     spec = _read_json(SyntheticSpec, args.spec, "spec")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    train = generate(spec)
-    validation = generate(dataclasses.replace(spec, seed=spec.seed + 1))
-    augment = generate(dataclasses.replace(spec, seed=spec.seed + 2), labeled=False)
-    graph = make_group_graph(spec)
-
-    write_dataset_csv(train, out / "train.csv")
-    write_dataset_csv(validation, out / "validation.csv")
-    write_dataset_csv(augment, out / "augment.csv")
-    write_feature_graph(graph, out / "graph.tsv")
-
-    print(f"wrote train.csv ({train.n_samples} x {train.n_features}) to {out}")
+    write_bundle(spec, out)
+    print(f"wrote train.csv ({spec.n_samples} x {spec.n_features}) to {out}")
     print(f"wrote validation.csv, augment.csv (unlabeled), graph.tsv to {out}")
     return 0
 

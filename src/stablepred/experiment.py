@@ -13,6 +13,7 @@ import csv
 import json
 import os
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from functools import cache
 from numbers import Integral, Real
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -162,6 +163,9 @@ _REPORT_ROWS = {"ci_curve": ("k", "mean_ci"), "snr_top": ("rank", "feature", "sn
 # The scalar annotations of report values: the type each must be, and its name.
 _SCALARS = {int: (Integral, "an integer"), float: (Real, "a number"), str: (str, "a string")}
 
+# A class's resolved field annotations, computed once rather than per instance.
+_type_hints = cache(get_type_hints)
+
 
 def _check_annotated(value, hint, where: str) -> None:
     """Reject ``value`` unless it is what the annotation ``hint`` names: an
@@ -207,7 +211,7 @@ class StabilityReport:
     optimizer: OptimizerConfig
 
     def __post_init__(self):
-        for name, hint in get_type_hints(StabilityReport).items():
+        for name, hint in _type_hints(type(self)).items():
             if name not in _REPORT_ROWS:
                 _check_annotated(getattr(self, name), hint, f"report field {name!r}")
                 continue

@@ -2,15 +2,29 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 from scipy.special import expit
 
-from .data import Dataset, FeatureGraph, _require_int, _require_real, make_dataset
+from .data import (
+    Dataset,
+    FeatureGraph,
+    _require_int,
+    _require_real,
+    make_dataset,
+    write_dataset_csv,
+    write_feature_graph,
+)
+from .experiment import ExperimentConfig
+from .models import AUGMENTED_MODELS, GRAPH_MODELS
+from .objectives import HyperParams
+from .optimizer import OptimizerConfig
 
-__all__ = ["SyntheticSpec", "DEFAULT_SPEC", "generate", "make_group_graph"]
+__all__ = ["SyntheticSpec", "DEFAULT_SPEC", "generate", "make_group_graph", "write_bundle",
+           "acceptance_configs"]
 
 
 @dataclass(frozen=True)
@@ -95,3 +109,43 @@ def make_group_graph(spec: SyntheticSpec) -> FeatureGraph:
         for a, b in combinations(members, 2):
             edges.append((a, b, 1.0))
     return FeatureGraph(edges=tuple(edges))
+
+
+def write_bundle(spec: SyntheticSpec, out) -> None:
+    """Write the cohort bundle an experiment reads into the directory ``out``.
+
+    ``train.csv`` is drawn at ``spec.seed``, ``validation.csv`` at seed + 1 and
+    the unlabeled ``augment.csv`` at seed + 2, each written before the next is
+    drawn; ``graph.tsv`` holds the group cliques.
+    """
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, offset, labeled in (("train.csv", 0, True), ("validation.csv", 1, True),
+                                  ("augment.csv", 2, False)):
+        write_dataset_csv(generate(replace(spec, seed=spec.seed + offset), labeled), out / name)
+    write_feature_graph(make_group_graph(spec), out / "graph.tsv")
+
+
+def acceptance_configs(bundle_dir) -> dict[str, ExperimentConfig]:
+    """The paper's experiment on the bundle in ``bundle_dir``: five models, each
+    a 50-bootstrap ensemble scored at k = 20, by model name in criterion 6's
+    order.  Vary one setting with ``dataclasses.replace``."""
+    linear = HyperParams(alpha=0.01)
+    autoencoder = HyperParams(alpha=0.05, lambda_ae=100.0, lambda_l2=1e-3, hidden_units=10)
+    autoencoder_graph = replace(autoencoder, lambda_fg=0.1)
+    hyperparams = {"lasso": linear, "lasso-graph": replace(linear, lambda_fg=0.015),
+                   "lasso-autoencoder": autoencoder,
+                   "lasso-autoencoder-graph": autoencoder_graph,
+                   "ag-lasso-autoencoder-graph": autoencoder_graph}
+    d = Path(bundle_dir)
+    optimizer = OptimizerConfig(max_iters=2500, learning_rate=0.02, rel_tol=1e-7, seed=11)
+    return {
+        model: ExperimentConfig(
+            train_path=str(d / "train.csv"), validation_path=str(d / "validation.csv"),
+            model=model, hyperparams=h, optimizer=optimizer,
+            graph_path=str(d / "graph.tsv") if model in GRAPH_MODELS else None,
+            augment_path=str(d / "augment.csv") if model in AUGMENTED_MODELS else None,
+            n_bootstraps=50, k_list=(20,), top_for_snr=20,
+        )
+        for model, h in hyperparams.items()
+    }

@@ -12,8 +12,8 @@ import time
 
 import numpy as np
 
-from stablepred.data import standardize, write_dataset_csv
-from stablepred.experiment import ExperimentConfig, emit_report, run_experiment
+from stablepred.data import standardize
+from stablepred.experiment import emit_report, run_experiment
 from stablepred.metrics import auc
 from stablepred.objectives import (
     HyperParams,
@@ -23,9 +23,8 @@ from stablepred.objectives import (
 )
 from stablepred.optimizer import OptimizerConfig, init_params, minimize
 from stablepred.stability import SubsetFamily, consistency_index, mean_consistency
-from stablepred.synthetic import DEFAULT_SPEC, generate
+from stablepred.synthetic import DEFAULT_SPEC, acceptance_configs, generate, write_bundle
 
-from conftest import H_LINEAR, SUBSET_K
 from test_metrics import pairwise_auc, random_prediction_set
 from test_objectives import (
     finite_difference,
@@ -129,7 +128,8 @@ def test_criterion_5_autoencoder_sanity():
 @criterion(6, "stability ordering of mean consistency at k=20")
 def test_criterion_6_stability_ordering(ordering_experiment):
     reports, elapsed = ordering_experiment
-    ci = {name: r.mean_ci_at(SUBSET_K) for name, r in reports.items()}
+    (subset_k,) = acceptance_configs(".")["lasso"].k_list
+    ci = {name: r.mean_ci_at(subset_k) for name, r in reports.items()}
     print("  mean CI@20:", {k: round(v, 4) for k, v in ci.items()})
 
     assert ci["lasso-autoencoder"] > ci["lasso"]
@@ -170,17 +170,9 @@ def test_criterion_8_sparsity_and_auc(ordering_experiment):
 @criterion(9, "byte-identical reports for identical configs")
 def test_criterion_9_determinism(tmp_path):
     out = tmp_path / "cohorts"
-    out.mkdir()
-    spec = dataclasses.replace(DEFAULT_SPEC, n_samples=80)
-    write_dataset_csv(generate(spec), out / "train.csv")
-    write_dataset_csv(
-        generate(dataclasses.replace(spec, seed=spec.seed + 1)), out / "validation.csv"
-    )
-    cfg = ExperimentConfig(
-        train_path=str(out / "train.csv"),
-        validation_path=str(out / "validation.csv"),
-        model="lasso",
-        hyperparams=H_LINEAR,
+    write_bundle(dataclasses.replace(DEFAULT_SPEC, n_samples=80), out)
+    cfg = dataclasses.replace(
+        acceptance_configs(out)["lasso"],
         optimizer=OptimizerConfig(max_iters=300, learning_rate=0.02, rel_tol=1e-8, seed=2),
         n_bootstraps=8,
         k_list=(10, 20),

@@ -8,6 +8,8 @@ from stablepred.cli import main
 from stablepred.data import load_dataset, load_feature_graph
 from stablepred.experiment import StabilityReport
 
+from conftest import traced_peak
+
 
 @pytest.fixture()
 def spec_file(tmp_path):
@@ -51,6 +53,17 @@ class TestGenSynthetic:
         graph = load_feature_graph(tmp_path / "coh" / "graph.tsv")
         assert len(graph.edges) == 9  # 3 groups x C(3,2)
         assert "train.csv" in capsys.readouterr().out
+
+    def test_holds_one_cohort_at_a_time(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_samples": 2000, "n_groups": 50}), encoding="utf-8")
+        code, peak = traced_peak(
+            lambda: main(["gen-synthetic", "--spec", str(spec), "--out", str(tmp_path / "coh")])
+        )
+        assert code == 0
+        assert "(2000 x 500)" in capsys.readouterr().out
+        # 4.3 with all three cohorts drawn before the first is written
+        assert peak <= 2.6 * 2000 * 500 * 8
 
     @pytest.mark.parametrize("payload,message", [
         # these used to print SyntheticSpec's own TypeErrors: an unexpected keyword

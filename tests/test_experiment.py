@@ -24,7 +24,7 @@ from stablepred.experiment import (
 from stablepred.models import AUGMENTED_MODELS, AUTOENCODER_MODELS, GRAPH_MODELS, MODEL_NAMES
 from stablepred.objectives import HyperParams
 from stablepred.optimizer import NumericalDivergenceError, OptimizerConfig
-from stablepred.synthetic import SyntheticSpec, generate, make_group_graph
+from stablepred.synthetic import SyntheticSpec, generate, make_group_graph, write_bundle
 
 from conftest import force_workers, needs_pool
 
@@ -37,15 +37,7 @@ SPEC = SyntheticSpec(
 @pytest.fixture(scope="module")
 def cohort_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("cohorts")
-    write_dataset_csv(generate(SPEC), out / "train.csv")
-    write_dataset_csv(
-        generate(dataclasses.replace(SPEC, seed=SPEC.seed + 1)), out / "validation.csv"
-    )
-    write_dataset_csv(
-        generate(dataclasses.replace(SPEC, seed=SPEC.seed + 2), labeled=False),
-        out / "augment.csv",
-    )
-    write_feature_graph(make_group_graph(SPEC), out / "graph.tsv")
+    write_bundle(SPEC, out)
     return out
 
 

@@ -1,14 +1,27 @@
-"""Synthetic cohort generator: correlation structure, determinism, graph shape."""
+"""Synthetic cohort generator: correlation structure, determinism, graph shape,
+the cohort bundle and the acceptance configs."""
+
+import dataclasses
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stablepred.data import build_laplacian, standardize
+from stablepred.data import build_laplacian, standardize, write_dataset_csv, write_feature_graph
 from stablepred.metrics import PredictionSet, auc
 from stablepred.models import ModelSpec, fit_model
 from stablepred.objectives import HyperParams
 from stablepred.optimizer import OptimizerConfig
-from stablepred.synthetic import DEFAULT_SPEC, SyntheticSpec, generate, make_group_graph
+from stablepred.synthetic import (
+    DEFAULT_SPEC,
+    SyntheticSpec,
+    acceptance_configs,
+    generate,
+    make_group_graph,
+    write_bundle,
+)
 
 from conftest import same_bits, traced_peak
 
@@ -143,3 +156,47 @@ class TestSignalRecovery:
         scores = holdout.X @ fit.effective_theta + fit.bias
         value = auc(PredictionSet(scores=scores, labels=holdout.y))
         assert value > 0.6
+
+
+BUNDLE = ("train.csv", "validation.csv", "augment.csv", "graph.tsv")
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def load_workloads(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules while they are built
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+class TestBundle:
+    def test_bytes_match_the_cohorts_written_one_by_one(self, tmp_path):
+        spec = SyntheticSpec(n_samples=30, n_groups=3, group_size=4, seed=7)
+        want = tmp_path / "want"
+        want.mkdir()
+        write_dataset_csv(generate(spec), want / "train.csv")
+        write_dataset_csv(
+            generate(dataclasses.replace(spec, seed=spec.seed + 1)), want / "validation.csv"
+        )
+        write_dataset_csv(
+            generate(dataclasses.replace(spec, seed=spec.seed + 2), labeled=False),
+            want / "augment.csv",
+        )
+        write_feature_graph(make_group_graph(spec), want / "graph.tsv")
+
+        write_bundle(spec, tmp_path / "got")
+        assert sorted(p.name for p in (tmp_path / "got").iterdir()) == sorted(BUNDLE)
+        for name in BUNDLE:
+            assert (tmp_path / "got" / name).read_bytes() == (want / name).read_bytes(), name
+
+
+class TestAcceptanceConfigs:
+    def test_match_the_benchmark_ordering_configs(self, tmp_path, monkeypatch):
+        # perfbench states the same five configs at B = 3; a drift in either fails here
+        ordering = load_workloads(monkeypatch).Ordering(0, tmp_path).setup()
+        configs = acceptance_configs(tmp_path)
+        assert list(configs) == list(ordering)
+        for model, cfg in configs.items():
+            assert dataclasses.replace(cfg, n_bootstraps=3) == ordering[model], model
