@@ -171,15 +171,15 @@ def _check_annotated(value, hint, where: str) -> None:
     """Reject ``value`` unless it is what the annotation ``hint`` names: an
     integer (not a bool), a number (an integer or float, +-inf included), a
     string, an instance of a class, or a tuple of any of these."""
-    if get_origin(hint) is tuple:
-        if not isinstance(value, tuple):
-            raise ValueError(f"{where} must be a tuple (a list in JSON), got {value!r}")
-        for i, item in enumerate(value):
-            _check_annotated(item, get_args(hint)[0], f"{where} entry {i}")
-        return
-    kind, name = _SCALARS.get(hint, (hint, f"a {hint.__name__}"))
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"{where} must be {name}, got {value!r}")
+    entries = get_origin(hint) is tuple
+    if entries and not isinstance(value, tuple):
+        raise ValueError(f"{where} must be a tuple (a list in JSON), got {value!r}")
+    item_hint = get_args(hint)[0] if entries else hint  # resolved once, not per entry
+    kind, name = _SCALARS.get(item_hint, (item_hint, f"a {item_hint.__name__}"))
+    for i, item in enumerate(value if entries else (value,)):
+        if isinstance(item, bool) or not isinstance(item, kind):
+            at = f"{where} entry {i}" if entries else where
+            raise ValueError(f"{at} must be {name}, got {item!r}")
 
 
 @dataclass(frozen=True)
@@ -219,6 +219,10 @@ class StabilityReport:
             for i, row in enumerate(getattr(self, name)):  # a row read from JSON holds its keys
                 for key, item, item_hint in zip(_REPORT_ROWS[name], row, row_hints):
                     _check_annotated(item, item_hint, f"report {name} row {i} field {key!r}")
+        for name in ("feature_names", "mean_weights", "importance"):
+            if (n := len(getattr(self, name))) != self.n_features:
+                raise ValueError(f"report field {name!r} holds {n} entries "
+                                 f"for {self.n_features} features")
 
     def to_dict(self) -> dict:
         out = asdict(self)  # json writes tuples as lists

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from numbers import Integral
 
 import numpy as np
 
@@ -68,40 +67,28 @@ class FeatureRanking:
 
 
 class SubsetFamily:
-    """Per-bootstrap top-k feature index sets.
+    """Per-bootstrap top-k feature index sets, built from a B x k integer array.
 
     ``members`` holds set b as row b of a read-only B x k int64 array, in
     ascending order; ``subsets`` holds them as frozensets, built on first read.
+    Only an integer ndarray is taken, since ``np.asarray([[0, 1], [True, 3]])``
+    silently reads ``True`` as 1.
     """
 
-    def __init__(self, k: int, subsets: tuple[frozenset, ...]):
-        _require_int("k", k, 1)
-        subsets, int64 = tuple(subsets), np.iinfo(np.int64)
-        for b, s in enumerate(subsets):
-            if len(s) != k:
-                raise ValueError(f"subset of size {len(s)} in a k={k} family")
-            bad = [i for i in s if isinstance(i, bool) or not isinstance(i, Integral)]
-            if bad:
-                raise ValueError(f"subset {b} holds {bad[0]!r}, not an integer")
-            bad = [i for i in s if not int64.min <= i <= int64.max]
-            if bad:
-                raise ValueError(f"subset {b} holds {bad[0]!r}, outside the int64 range")
-        self._hold(k, np.array([sorted(s) for s in subsets], dtype=np.int64).reshape(-1, k))
-        self.subsets = subsets
-
-    @classmethod
-    def _of(cls, k: int, members: np.ndarray) -> SubsetFamily:
-        """The family whose rows are ``members``, an owned B x k int64 array."""
-        f = cls.__new__(cls)
-        f._hold(k, members)
-        return f
-
-    def _hold(self, k: int, members: np.ndarray) -> None:
-        repeats = np.flatnonzero((members[:, 1:] <= members[:, :-1]).any(axis=1))
+    def __init__(self, members: np.ndarray):
+        if not isinstance(members, np.ndarray) or members.dtype.kind not in "iu":
+            got = members.dtype if isinstance(members, np.ndarray) else type(members).__name__
+            raise ValueError(f"members must be an integer array, got {got}")
+        if members.ndim != 2:
+            raise ValueError(f"members must be a B x k array, got {members.ndim} dimensions")
+        if members.dtype == np.uint64 and (members > np.iinfo(np.int64).max).any():
+            raise ValueError(f"members hold {members.max()}, outside the int64 range")
+        members = np.sort(members.astype(np.int64, copy=False), axis=1)
+        repeats = np.flatnonzero((members[:, 1:] == members[:, :-1]).any(axis=1))
         if len(repeats):
             raise ValueError(f"subset {repeats[0]} repeats a member")
         members.flags.writeable = False
-        self.k, self.members = k, members
+        self.members = members
 
     @cached_property
     def subsets(self) -> tuple[frozenset, ...]:
@@ -188,7 +175,6 @@ def top_k_subsets(e: BootstrapEnsemble, raw_std: np.ndarray, k: int) -> SubsetFa
     scores *= raw_std  # in place: a fresh B x d temporary costs more than the product
     top = np.argpartition(scores, -k, axis=1)[:, -k:]
     kth = np.take_along_axis(scores, top[:, :1], axis=1)
-    members = np.sort(top, axis=1)
     over = np.flatnonzero((scores >= kth).sum(axis=1) > k)
     if len(over):
         # rows whose ties at the k-th score overfill: keep the lowest-index ties
@@ -196,8 +182,8 @@ def top_k_subsets(e: BootstrapEnsemble, raw_std: np.ndarray, k: int) -> SubsetFa
         above, ties = sub > kth_sub, sub == kth_sub
         room = k - above.sum(axis=1, keepdims=True)
         take = above | (ties & (np.cumsum(ties, axis=1) <= room))
-        members[over] = np.nonzero(take)[1].reshape(-1, k)
-    return SubsetFamily._of(k, members)
+        top[over] = np.nonzero(take)[1].reshape(-1, k)
+    return SubsetFamily(top)
 
 
 def consistency_index(s_i: frozenset, s_j: frozenset, d: int) -> float:
@@ -226,7 +212,8 @@ def mean_consistency(f: SubsetFamily, d: int) -> float:
     an exact ratio of integers, and the result is that exact mean rounded
     once, found in O(B*k + d) without visiting the pairs.
     """
-    b, k, members = len(f.members), f.k, f.members
+    members = f.members
+    b, k = members.shape
     if b < 2:
         raise ValueError("at least 2 subsets are required")
     _require_int("d", d, 2)

@@ -427,10 +427,20 @@ class TestSerializationThroughFields:
 
     def test_report_numbers_may_be_integers_or_infinite(self, cohort_dir):
         payload = run_experiment(base_config(cohort_dir)).to_dict()
-        changes = {"f_threshold": -math.inf, "validation_auc": 1, "mean_weights": [math.inf]}
+        changes = {"f_threshold": -math.inf, "validation_auc": 1,
+                   "mean_weights": [math.inf, *payload["mean_weights"][1:]]}
         report = StabilityReport.from_dict({**payload, **changes})
-        assert (report.f_threshold, report.validation_auc, report.mean_weights) == (
-            -math.inf, 1, (math.inf,))
+        assert (report.f_threshold, report.validation_auc, report.mean_weights[0]) == (
+            -math.inf, 1, math.inf)
+
+    @pytest.mark.parametrize("name", ["feature_names", "mean_weights", "importance"])
+    def test_report_per_feature_lengths_checked(self, cohort_dir, name):
+        # a 3-entry mean_weights for 12 features used to read back, and emit_report
+        # then wrote a 3-row weights_mean.csv
+        payload = run_experiment(base_config(cohort_dir)).to_dict()
+        with pytest.raises(ValueError, match=f"^report field '{name}' holds 3 entries "
+                                             f"for 12 features$"):
+            StabilityReport.from_dict({**payload, name: payload[name][:3]})
 
     def test_config_json_bytes(self, cohort_dir):
         for cfg in self.configs(cohort_dir):

@@ -149,10 +149,12 @@ class TestConsistencyProperties:
 
 class TestSubsetFamily:
     def test_members_are_the_sets_in_ascending_rows(self):
-        fam = SubsetFamily(k=3, subsets=(frozenset({7, 2, 5}), frozenset({0, 9, 4})))
+        rows = np.array([[7, 2, 5], [0, 9, 4]], dtype=np.int32)
+        fam = SubsetFamily(rows)
         np.testing.assert_array_equal(fam.members, [[2, 5, 7], [0, 4, 9]])
         assert fam.members.dtype == np.int64
         assert not fam.members.flags.writeable
+        assert rows.flags.writeable and rows[0, 0] == 7
 
     def test_subsets_built_from_members(self):
         e = ensemble_from([[3.0, 1.0, 2.0, 0.0], [0.0, 1.0, 2.0, 3.0]])
@@ -162,39 +164,54 @@ class TestSubsetFamily:
 
     @pytest.mark.parametrize("member", [0.5, 1.0, True, "1"])
     def test_non_integer_member_named_by_subset(self, member):
-        # np.fromiter used to truncate 0.5 to 0, so two different sets scored 1.0
-        with pytest.raises(ValueError, match=rf"subset 1 holds {member!r}, not an integer"):
-            SubsetFamily(k=2, subsets=(frozenset({0, 1}), frozenset({member, 3})))
+        # np.fromiter used to truncate 0.5 to 0, so two different sets scored 1.0;
+        # a dtype belongs to the whole array, so the refusal names it, not a subset
+        rows = np.array([[0, 1], [member, 3]]) if member is not True else np.ones((2, 2), bool)
+        with pytest.raises(ValueError, match=rf"members must be an integer array, "
+                                             rf"got {rows.dtype}$"):
+            SubsetFamily(rows)
 
     @pytest.mark.parametrize("member", [2**70, -2**63 - 1])
     def test_member_outside_int64_named_by_subset(self, member):
         # np.array(..., dtype=np.int64) used to raise a bare OverflowError
-        with pytest.raises(ValueError, match=rf"subset 0 holds {member}, outside the int64 range"):
-            SubsetFamily(k=1, subsets=(frozenset({member}), frozenset({1})))
+        with pytest.raises(ValueError, match="members must be an integer array, got object"):
+            SubsetFamily(np.array([[member], [1]]))
 
     def test_int64_extremes_accepted(self):
         # their difference overflows int64, so rows are compared, not differenced
-        fam = SubsetFamily(k=2, subsets=(frozenset({-2**63, 2**63 - 1}), frozenset({0, 1})))
+        fam = SubsetFamily(np.array([[-2**63, 2**63 - 1], [0, 1]]))
         np.testing.assert_array_equal(fam.members, [[-2**63, 2**63 - 1], [0, 1]])
 
     def test_repeated_member_named_by_subset(self):
         with pytest.raises(ValueError, match="subset 2 repeats a member"):
-            SubsetFamily(k=2, subsets=((0, 1), (1, 2), (3, 3)))
-
-    @pytest.mark.parametrize("k", [2.0, True, 0])
-    def test_k_checked_when_built(self, k):
-        # k=2.0 used to build and fail only later, in mean_consistency
-        with pytest.raises(ValueError, match=rf"k must be an integer >= 1, got {k!r}"):
-            SubsetFamily(k=k, subsets=(frozenset({0, 1}), frozenset({1, 2})))
+            SubsetFamily(np.array([[0, 1], [1, 2], [3, 3]]))
 
     def test_size_mismatch(self):
-        with pytest.raises(ValueError, match="subset of size 1 in a k=2 family"):
-            SubsetFamily(k=2, subsets=(frozenset({0, 1}), frozenset({1})))
+        # ragged rows cannot form an integer array
+        with pytest.raises(ValueError, match="members must be an integer array, got object"):
+            SubsetFamily(np.array([[0, 1], [1]], dtype=object))
+
+    @pytest.mark.parametrize("members,message", [
+        (np.array([[0, 1], [0.5, 3]]), "an integer array, got float64"),
+        (np.array([[0, 1], [1.0, 3]]), "an integer array, got float64"),
+        (np.ones((2, 1), dtype=bool), "an integer array, got bool"),
+        (np.array([[2**70], [1]]), "an integer array, got object"),
+        (np.array([[-2**63 - 1], [1]]), "an integer array, got object"),
+        (np.array([[2**63], [1]], dtype=np.uint64), "hold 9223372036854775808, outside the int64"),
+        (np.array([0, 1]), "a B x k array, got 1 dimensions"),
+        # np.asarray would turn [[0, 1], [True, 3]] into int64 without a word
+        ([[0, 1], [1, 2]], "an integer array, got list"),
+        (np.array([[0, 1], [3, 3]]), "subset 1 repeats a member"),
+    ], ids=["half", "float-one", "bool", "above-int64", "below-int64", "uint64", "1-d", "list",
+            "repeat"])
+    def test_refused_in_array_form(self, members, message):
+        with pytest.raises(ValueError, match=message):
+            SubsetFamily(members)
 
 
 class TestMeanConsistency:
     def test_identical_family_is_one(self):
-        fam = SubsetFamily(k=2, subsets=(frozenset({0, 1}),) * 4)
+        fam = SubsetFamily(np.array([[0, 1]] * 4))
         assert mean_consistency(fam, 10) == 1.0
 
     def test_three_family_average(self):
@@ -203,32 +220,29 @@ class TestMeanConsistency:
         a = frozenset({0, 1})
         b = frozenset({1, 2})
         c = frozenset({0, 3})
-        fam = SubsetFamily(k=2, subsets=(a, a, b))
+        fam = SubsetFamily(np.array([[0, 1], [0, 1], [1, 2]]))
         assert mean_consistency(fam, 4) == pytest.approx(1.0 / 3.0)
         assert consistency_index(a, b, 4) == 0.0
         assert consistency_index(a, c, 4) == 0.0
 
     def test_requires_two_subsets(self):
         with pytest.raises(ValueError):
-            mean_consistency(SubsetFamily(k=1, subsets=(frozenset({0}),)), 4)
+            mean_consistency(SubsetFamily(np.array([[0]])), 4)
 
     @pytest.mark.parametrize("d", [np.float64(10.9), 10.0, 1, True])
     def test_d_must_be_an_integer_above_one(self, d):
-        fam = SubsetFamily(k=1, subsets=(frozenset({0}), frozenset({1})))
+        fam = SubsetFamily(np.array([[0], [1]]))
         with pytest.raises(ValueError, match=r"d must be an integer >= 2, got "):
             mean_consistency(fam, d)
 
     def test_numpy_integer_d_accepted(self):
-        fam = SubsetFamily(k=2, subsets=(frozenset({0, 1}), frozenset({1, 2})))
+        fam = SubsetFamily(np.array([[0, 1], [1, 2]]))
         assert mean_consistency(fam, np.int64(4)) == mean_consistency(fam, 4) == 0.0
 
     def test_chance_level_near_zero(self):
         # independently drawn subsets: chance-corrected overlap averages to 0
         rng = np.random.default_rng(123)
-        subsets = tuple(
-            frozenset(rng.choice(100, size=10, replace=False).tolist()) for _ in range(200)
-        )
-        fam = SubsetFamily(k=10, subsets=subsets)
+        fam = SubsetFamily(np.array([rng.choice(100, size=10, replace=False) for _ in range(200)]))
         assert abs(mean_consistency(fam, 100)) < 0.05
 
 
@@ -238,14 +252,14 @@ def subset_families(draw):
     k = draw(st.integers(min_value=1, max_value=d - 1))
     b = draw(st.integers(min_value=2, max_value=12))
     perms = draw(st.lists(st.permutations(range(d)), min_size=b, max_size=b))
-    return SubsetFamily(k=k, subsets=tuple(frozenset(perm[:k]) for perm in perms)), d
+    return SubsetFamily(np.array([perm[:k] for perm in perms])), d
 
 
 def pairwise_mean_consistency(f, d):
     """Reference: the exact rational mean of the index over all unordered pairs,
     rounded once to a float."""
-    k = f.k
-    pairs = list(combinations(f.subsets, 2))
+    k = f.members.shape[1]
+    pairs = list(combinations(map(frozenset, f.members.tolist()), 2))
     total = sum(Fraction(len(a & b) * d - k * k, k * (d - k)) for a, b in pairs)
     return float(total / len(pairs))
 
@@ -267,12 +281,12 @@ class TestMeanConsistencyOracle:
 
     @pytest.mark.parametrize("bad", [-1, 5])
     def test_out_of_range_member_rejected(self, bad):
-        fam = SubsetFamily(k=2, subsets=(frozenset({0, 1}), frozenset({1, bad})))
+        fam = SubsetFamily(np.array([[0, 1], [1, bad]]))
         with pytest.raises(ValueError, match="must lie in"):
             mean_consistency(fam, 5)
 
     def test_degenerate_k_rejected(self):
-        fam = SubsetFamily(k=3, subsets=(frozenset({0, 1, 2}),) * 2)
+        fam = SubsetFamily(np.array([[0, 1, 2]] * 2))
         with pytest.raises(ValueError, match=r"k must be an integer in \[1, 2\], got 3"):
             mean_consistency(fam, 3)
 
@@ -282,9 +296,7 @@ class TestMeanConsistencyOracle:
         # tracemalloc sees is deterministic, unlike a timing.
         b, d, k = 2000, 10000, 20
         rng = np.random.default_rng(0)
-        fam = SubsetFamily(k=k, subsets=tuple(
-            frozenset(rng.choice(d, size=k, replace=False).tolist()) for _ in range(b)
-        ))
+        fam = SubsetFamily(np.array([rng.choice(d, size=k, replace=False) for _ in range(b)]))
         tracemalloc.start()
         try:
             mean_consistency(fam, d)
