@@ -13,10 +13,7 @@ import csv
 import json
 import os
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from functools import cache
-from numbers import Integral, Real
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -57,36 +54,25 @@ __all__ = [
 
 SNR_THRESHOLD = 1.96
 
-# Settings objects nested in a config or report, built from their JSON objects.
+# Settings objects nested in a config, built from their JSON objects.
 _SETTINGS = {"hyperparams": HyperParams, "optimizer": OptimizerConfig}
 
 
-def _checked_object(payload, names, required, what: str) -> dict:
-    """``payload`` if it is a JSON object whose keys lie in ``names`` and cover ``required``."""
+def _from_payload(cls, payload, what: str):
+    """The dataclass ``cls`` read from its JSON object, whose keys must be its
+    fields and cover its required ones; a bad key is named with ``what``."""
     if not isinstance(payload, dict):
         raise ValueError(f"{what} must be a JSON object, got {payload!r}")
-    if (unknown := next((key for key in payload if key not in names), None)) is not None:
+    declared = {f.name: f for f in fields(cls)}
+    if (unknown := next((key for key in payload if key not in declared), None)) is not None:
         raise ValueError(f"unknown {what} field {unknown!r}")
+    required = (f.name for f in declared.values() if f.default is f.default_factory is MISSING)
     if (missing := next((name for name in required if name not in payload), None)) is not None:
         raise ValueError(f"{what} field {missing!r} is missing")
-    return payload
-
-
-def _from_payload(cls, payload, what: str):
-    """The dataclass ``cls`` read from its JSON object; a bad key is named with ``what``."""
-    declared = {f.name: f for f in fields(cls)}
-    required = [f.name for f in declared.values() if f.default is f.default_factory is MISSING]
-    kwargs = dict(_checked_object(payload, declared, required, what))
+    kwargs = dict(payload)
     for name, value in payload.items():
         if name in _SETTINGS:
             kwargs[name] = _from_payload(_SETTINGS[name], value, name)
-        elif name in _REPORT_ROWS:  # each row is a JSON object holding exactly its keys
-            if not isinstance(value, list):
-                raise ValueError(f"{what} {name} must be a JSON list, got {value!r}")
-            keys = _REPORT_ROWS[name]
-            rows = (_checked_object(row, keys, keys, f"{what} {name} row {i}")
-                    for i, row in enumerate(value))
-            kwargs[name] = tuple(tuple(row[key] for key in keys) for row in rows)
         elif isinstance(value, list) and str(declared[name].type).startswith("tuple"):
             kwargs[name] = tuple(value)
     return cls(**kwargs)
@@ -160,27 +146,6 @@ class ExperimentConfig:
 # Report fields held as tuples of rows, written as lists of keyed objects.
 _REPORT_ROWS = {"ci_curve": ("k", "mean_ci"), "snr_top": ("rank", "feature", "snr")}
 
-# The scalar annotations of report values: the type each must be, and its name.
-_SCALARS = {int: (Integral, "an integer"), float: (Real, "a number"), str: (str, "a string")}
-
-# A class's resolved field annotations, computed once rather than per instance.
-_type_hints = cache(get_type_hints)
-
-
-def _check_annotated(value, hint, where: str) -> None:
-    """Reject ``value`` unless it is what the annotation ``hint`` names: an
-    integer (not a bool), a number (an integer or float, +-inf included), a
-    string, an instance of a class, or a tuple of any of these."""
-    entries = get_origin(hint) is tuple
-    if entries and not isinstance(value, tuple):
-        raise ValueError(f"{where} must be a tuple (a list in JSON), got {value!r}")
-    item_hint = get_args(hint)[0] if entries else hint  # resolved once, not per entry
-    kind, name = _SCALARS.get(item_hint, (item_hint, f"a {item_hint.__name__}"))
-    for i, item in enumerate(value if entries else (value,)):
-        if isinstance(item, bool) or not isinstance(item, kind):
-            at = f"{where} entry {i}" if entries else where
-            raise ValueError(f"{at} must be {name}, got {item!r}")
-
 
 @dataclass(frozen=True)
 class StabilityReport:
@@ -210,33 +175,11 @@ class StabilityReport:
     hyperparams: HyperParams
     optimizer: OptimizerConfig
 
-    def __post_init__(self):
-        for name, hint in _type_hints(type(self)).items():
-            if name not in _REPORT_ROWS:
-                _check_annotated(getattr(self, name), hint, f"report field {name!r}")
-                continue
-            row_hints = get_args(get_args(hint)[0])
-            for i, row in enumerate(getattr(self, name)):  # a row read from JSON holds its keys
-                for key, item, item_hint in zip(_REPORT_ROWS[name], row, row_hints):
-                    _check_annotated(item, item_hint, f"report {name} row {i} field {key!r}")
-        for name in ("feature_names", "mean_weights", "importance"):
-            if (n := len(getattr(self, name))) != self.n_features:
-                raise ValueError(f"report field {name!r} holds {n} entries "
-                                 f"for {self.n_features} features")
-
     def to_dict(self) -> dict:
         out = asdict(self)  # json writes tuples as lists
         for name, keys in _REPORT_ROWS.items():
             out[name] = [dict(zip(keys, row)) for row in out[name]]
         return out
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "StabilityReport":
-        return _from_payload(cls, payload, "report")
-
-    @classmethod
-    def from_json(cls, path) -> "StabilityReport":
-        return _read_json(cls, path, "report")
 
     def mean_ci_at(self, k: int) -> float:
         for kk, v in self.ci_curve:

@@ -6,7 +6,6 @@ import pytest
 
 from stablepred.cli import main
 from stablepred.data import load_dataset, load_feature_graph
-from stablepred.experiment import StabilityReport
 
 from conftest import traced_peak
 
@@ -93,8 +92,8 @@ class TestRun:
         cfg_path.write_text(json.dumps(run_config(tmp_path, cohorts)), encoding="utf-8")
         code = main(["run", "--config", str(cfg_path)])
         assert code == 0
-        report = StabilityReport.from_json(tmp_path / "out" / "report.json")
-        assert report.model == "lasso"
+        report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+        assert report["model"] == "lasso"
         assert (tmp_path / "out" / "ci_curve.csv").exists()
 
     def test_bad_config_exits_nonzero(self, tmp_path, spec_file, capsys):

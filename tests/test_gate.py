@@ -15,6 +15,10 @@ and every stored float within ``TOL`` of its reference.  A byte pin
 (``TestBitIdentity``, ``TestReportPin``, the report SHA-256s below) may be
 re-recorded only by a change that passes these checks.
 
+Nothing reads report.json back, so ``test_report_written_consistent`` checks
+the same five reports where they are written: every value has its field's
+builtin type, and every count a report restates agrees with its config.
+
 Record the reference from the root of the repository with
 ``PYTHONPATH=src python tests/test_gate.py``.
 """
@@ -22,12 +26,14 @@ Record the reference from the root of the repository with
 import hashlib
 import json
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
 
-from stablepred.experiment import emit_report
+from stablepred.experiment import StabilityReport, emit_report
 from stablepred.models import MODEL_NAMES, fit_model
+from stablepred.synthetic import acceptance_configs
 
 from conftest import run_ordering
 from test_models import PIN_CFG, pin_case
@@ -61,6 +67,21 @@ def report_record(report, out_dir):
         "f_score": report.f_score,
         "report_sha256": hashlib.sha256((out_dir / "report.json").read_bytes()).hexdigest(),
     }
+
+
+def assert_typed(value, hint, where):
+    """``value`` is exactly the type ``hint`` names: no numpy scalar, no bool
+    for an int, and each tuple entry (of a row, too) checked the same way."""
+    if get_origin(hint) is not tuple:
+        kind = type(value).__name__
+        assert type(value) is hint, f"{where}: {value!r} is {kind}, not {hint.__name__}"
+        return
+    assert type(value) is tuple, f"{where}: {value!r} is not a tuple"
+    args = get_args(hint)
+    hints = args[:1] * len(value) if args[-1] is Ellipsis else args
+    assert len(hints) == len(value), f"{where}: {value!r} holds {len(value)} entries"
+    for i, (item, item_hint) in enumerate(zip(value, hints)):
+        assert_typed(item, item_hint, f"{where}[{i}]")
 
 
 def by_magnitude(theta):
@@ -105,6 +126,22 @@ def test_report_within_tolerance(reference, ordering_records, model):
 @pytest.mark.parametrize("model", ORDERING_MODELS)
 def test_report_bytes_pinned(reference, ordering_records, model):
     assert ordering_records[model]["report_sha256"] == reference["reports"][model]["report_sha256"]
+
+
+@pytest.mark.parametrize("model", ORDERING_MODELS)
+def test_report_written_consistent(ordering_experiment, model):
+    report, cfg = ordering_experiment[0][model], acceptance_configs(".")[model]
+    for name, hint in get_type_hints(StabilityReport).items():
+        assert_typed(getattr(report, name), hint, name)
+    for name in ("feature_names", "mean_weights", "importance"):
+        assert len(getattr(report, name)) == report.n_features, name
+    assert (report.n_bootstraps, report.base_seed) == (cfg.n_bootstraps, cfg.optimizer.seed)
+    assert report.bootstrap_seeds == tuple(report.base_seed + b
+                                           for b in range(report.n_bootstraps))
+    assert tuple(k for k, _ in report.ci_curve) == cfg.k_list
+    assert [rank for rank, _, _ in report.snr_top] == list(range(1, cfg.top_for_snr + 1))
+    assert {name for _, name, _ in report.snr_top} <= set(report.feature_names)
+    assert (report.hyperparams, report.optimizer) == (cfg.hyperparams, cfg.optimizer)
 
 
 if __name__ == "__main__":
