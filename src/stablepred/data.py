@@ -59,18 +59,18 @@ def _require_labeled(d: Dataset) -> None:
 class Dataset:
     """Sample-major feature matrix with named columns and optional +/-1 labels.
 
-    ``raw_mean`` and ``raw_std`` are the per-column statistics of the data as
-    originally loaded (population standard deviation, divisor M).  They are
-    carried through standardization and column selection so that feature
-    ranking can always refer back to the original scale.
+    ``raw_mean`` and ``raw_std`` are None until the cohort is standardized,
+    then the column statistics it was scaled by (population std, divisor M):
+    its own from ``standardize``, the reference's from ``standardize_like``.
+    Feature ranking reads ``raw_std`` to refer back to the original scale.
+    A NaN or infinite entry, or a negative ``raw_std``, is refused by column.
     """
 
     feature_names: tuple[str, ...]
     X: np.ndarray
     y: np.ndarray | None
-    raw_mean: np.ndarray
-    raw_std: np.ndarray
-    standardized: bool = False
+    raw_mean: np.ndarray | None = None
+    raw_std: np.ndarray | None = None
 
     def __post_init__(self):
         if self.X.ndim != 2:
@@ -87,10 +87,16 @@ class Dataset:
                 raise ValueError("label vector length does not match row count")
             if not np.all(np.isin(self.y, (-1.0, 1.0))):
                 raise ValueError("labels must be +1 or -1")
-        if self.raw_mean.shape != (n,) or self.raw_std.shape != (n,):
-            raise ValueError("raw_mean/raw_std must have one entry per column")
-        if np.any(self.raw_std < 0):
-            raise ValueError("raw_std entries must be nonnegative")
+        if self.raw_mean is None and self.raw_std is None:
+            return
+        if np.shape(self.raw_mean) != (n,) or np.shape(self.raw_std) != (n,):
+            raise ValueError("raw_mean and raw_std must both hold one entry per column")
+        for name, low in (("raw_mean", -np.inf), ("raw_std", 0.0)):
+            stat = getattr(self, name)
+            bad = np.flatnonzero(~(np.isfinite(stat) & (stat >= low)))
+            if len(bad):
+                j = bad[0]
+                raise ValueError(f"{name} is {stat[j]} at column {self.feature_names[j]!r}")
 
     @property
     def n_samples(self) -> int:
@@ -110,7 +116,8 @@ def make_dataset(
     y=None,
     feature_names=None,
 ) -> Dataset:
-    """Build an unstandardized Dataset from arrays, computing raw column stats."""
+    """Build an unstandardized Dataset from arrays; ``X`` is kept as given,
+    non-finite cells included, and no column statistic is computed."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("X must be 2-d")
@@ -118,22 +125,7 @@ def make_dataset(
         feature_names = tuple(f"f{i}" for i in range(X.shape[1]))
     if y is not None:
         y = np.asarray(y, dtype=float)
-    return Dataset(
-        feature_names=tuple(feature_names),
-        X=X,
-        y=y,
-        raw_mean=X.mean(axis=0),
-        raw_std=_column_std(X),
-        standardized=False,
-    )
-
-
-def _column_std(X: np.ndarray) -> np.ndarray:
-    """Population std per column, exactly 0 where every cell equals the first:
-    a constant column's rounded mean can differ from its value by an ulp."""
-    std = X.std(axis=0)
-    std[(X == X[:1]).all(axis=0)] = 0.0
-    return std
+    return Dataset(feature_names=tuple(feature_names), X=X, y=y)
 
 
 def load_dataset(path, label_column: str | None = None) -> Dataset:
@@ -249,6 +241,8 @@ def write_dataset_csv(d: Dataset, path, label_column: str = DEFAULT_LABEL_COLUMN
     in row order as soon as it and every earlier one are back, so the parent
     holds a few chunks at a time and the bytes are the serial write's.
     """
+    if d.labeled and label_column in d.feature_names:
+        raise ValueError(f"label column {label_column!r} is also a feature name")
     X = np.asarray(d.X, dtype=float)  # integer cells would print as "1", not "1.0"
     sep = "," if X.shape[1] else ""
     labels = [f"{sep}{int(v)}\r\n" for v in d.y] if d.labeled else ["\r\n"] * len(X)
@@ -273,13 +267,22 @@ def write_dataset_csv(d: Dataset, path, label_column: str = DEFAULT_LABEL_COLUMN
         fh.writelines(chunks)
 
 
+def _column_std(X: np.ndarray) -> np.ndarray:
+    """Population std per column, exactly 0 where every cell equals the first:
+    a constant column's rounded mean can differ from its value by an ulp."""
+    std = X.std(axis=0)
+    std[(X == X[:1]).all(axis=0)] = 0.0
+    return std
+
+
 def _rescale(d: Dataset, reference: Dataset | None) -> Dataset:
     """Center ``d`` by a mean and divide by a std, writing 0 where the std is 0:
-    ``d``'s own column statistics, or else the reference cohort's raw ones.
-    A non-finite cell is rejected with its row and column, and a non-finite
-    reference statistic with its column."""
-    if d.standardized:
+    ``d``'s own column statistics, or else the standardized reference cohort's.
+    A non-finite cell is rejected with its row and column."""
+    if d.raw_std is not None:
         raise ValueError("dataset is already standardized")
+    if reference is not None and reference.raw_std is None:
+        raise ValueError("reference dataset is not standardized")
     if reference is not None and d.feature_names != reference.feature_names:
         raise ValueError("feature columns do not match the reference dataset")
     if not np.isfinite(d.X).all():
@@ -289,27 +292,24 @@ def _rescale(d: Dataset, reference: Dataset | None) -> Dataset:
         mean, std = d.X.mean(axis=0), _column_std(d.X)
     else:
         mean, std = reference.raw_mean, reference.raw_std
-        for name, stat in (("raw_mean", mean), ("raw_std", std)):
-            if not np.isfinite(stat).all():
-                j = np.flatnonzero(~np.isfinite(stat))[0]
-                raise ValueError(f"reference {name} is {stat[j]} at column {d.feature_names[j]!r}")
     scaled = d.X - mean  # the one full-size buffer: divided in place
     np.divide(scaled, std, out=scaled, where=std > 0)
     scaled[:, ~(std > 0)] = 0.0
-    return replace(d, X=scaled, standardized=True)
+    return replace(d, X=scaled, raw_mean=mean, raw_std=std)
 
 
 def standardize(d: Dataset) -> Dataset:
     """Center each column to mean 0 and scale to standard deviation 1.
 
     Columns with zero variance become all-zeros.  ``raw_mean``/``raw_std``
-    are preserved from the input.  Standardizing twice is rejected.
+    are set to the input's column statistics.  Standardizing twice is rejected.
     """
     return _rescale(d, None)
 
 
 def standardize_like(d: Dataset, reference: Dataset) -> Dataset:
-    """Apply the reference cohort's column transform (its raw mean/std) to ``d``.
+    """Apply a standardized reference cohort's column transform (its
+    ``raw_mean``/``raw_std``, which the result carries) to ``d``.
 
     Used to score held-out data with a model fit on the reference cohort's
     standardized scale.  Columns the reference holds constant become zeros.
@@ -319,16 +319,17 @@ def standardize_like(d: Dataset, reference: Dataset) -> Dataset:
 
 def _select_columns(d: Dataset, names: list[str]) -> Dataset:
     idx = [d.feature_names.index(n) for n in names]
-    return replace(d, feature_names=tuple(names), X=d.X[:, idx],
-                   raw_mean=d.raw_mean[idx], raw_std=d.raw_std[idx])
+    return replace(d, feature_names=tuple(names), X=d.X[:, idx])
 
 
 def align_common_features(*cohorts: Dataset) -> tuple[Dataset, ...]:
     """Restrict every cohort to the columns all share, ordered lexicographically.
 
-    Labels and raw statistics are carried through.  Raises if the cohorts
-    share no feature names.
+    Labels are carried through.  Raises if the cohorts share no feature names,
+    or if one is standardized: align first, then standardize.
     """
+    if any(d.raw_std is not None for d in cohorts):
+        raise ValueError("cohorts must be aligned before they are standardized")
     common = sorted(set.intersection(*(set(d.feature_names) for d in cohorts)))
     if not common:
         raise ValueError("datasets share no feature names")

@@ -85,7 +85,7 @@ def generate(spec: SyntheticSpec, labeled: bool = True) -> Dataset:
     m, G, g = spec.n_samples, spec.n_groups, spec.group_size
     z = rng.standard_normal((m, G))
     eps = rng.standard_normal((m, G * g))
-    eps *= spec.within_group_noise  # in place, and freed before make_dataset's std pass
+    eps *= spec.within_group_noise  # in place, and freed once added into X
     X = np.repeat(z, g, axis=1)
     X += eps
     del eps

@@ -25,7 +25,7 @@ from stablepred.data import (
     write_feature_graph,
 )
 from stablepred.stability import BootstrapEnsemble, feature_importance
-from stablepred.synthetic import SyntheticSpec, generate
+from stablepred.synthetic import DEFAULT_SPEC, SyntheticSpec, generate, write_bundle
 
 from conftest import force_workers, needs_pool, same_bits, traced_peak
 
@@ -116,6 +116,15 @@ class TestWriteDatasetCsv:
             d = make_dataset(d.X, feature_names=d.feature_names)
         assert (written_bytes(write_dataset_csv, d, tmp_path / "new.csv")
                 == written_bytes(csv_writer_dataset, d, tmp_path / "old.csv"))
+
+    def test_feature_named_as_label_column_refused(self, tmp_path):
+        # the header used to repeat the name, and load_dataset refused the file
+        d = make_dataset([[1.0, 2.0], [3.0, 4.0]], y=[1, -1], feature_names=["label", "b"])
+        with pytest.raises(ValueError, match="label column 'label' is also a feature name"):
+            write_dataset_csv(d, tmp_path / "d.csv")
+        assert not (tmp_path / "d.csv").exists()
+        write_dataset_csv(d, tmp_path / "d.csv", label_column="y")
+        assert load_dataset(tmp_path / "d.csv", label_column="y").feature_names == ("label", "b")
 
 
 def record_formatting_pids(monkeypatch, path):
@@ -236,15 +245,37 @@ class TestPooledWrite:
         assert pids.read_text(encoding="utf-8").split() == [str(os.getpid())] * cohort.X.size
 
 
+class TestColumnStatisticsWaitForStandardize:
+    """Building or loading a cohort holds no column-statistic temporary."""
+
+    @pytest.fixture
+    def X(self):
+        return np.random.default_rng(11).normal(size=(2000, 500))
+
+    def test_make_dataset_traced_peak(self, X):
+        d, peak = traced_peak(lambda: make_dataset(X))
+        assert d.X is X and peak <= 0.02 * X.nbytes  # 0.009; 1.01 with the std
+
+    @pytest.mark.parametrize("labeled, bound", [(True, 2.1), (False, 1.25)])
+    def test_load_dataset_traced_peak(self, tmp_path, X, labeled, bound):
+        # labeled: the parsed rows and X without the label column, 2.02;
+        # unlabeled: the parsed rows, 1.19; each 1.0 more with the std
+        y = np.where(np.arange(len(X)) % 2, 1.0, -1.0) if labeled else None
+        write_dataset_csv(make_dataset(X, y=y), tmp_path / "d.csv")
+        label = "label" if labeled else None
+        d, peak = traced_peak(lambda: load_dataset(tmp_path / "d.csv", label_column=label))
+        assert d.X.tobytes() == X.tobytes() and peak <= bound * X.nbytes
+
+
 class TestLoadDataset:
     def test_two_row_file(self, tmp_path):
         p = write_csv(tmp_path / "d.csv", "f1,f2,label\n1,2,1\n3,4,-1\n")
         d = load_dataset(p, label_column="label")
         assert d.n_samples == 2 and d.n_features == 2
+        assert d.raw_mean is None and d.raw_std is None
         # population std of {1,3} and {2,4} is 1
-        np.testing.assert_allclose(d.raw_std, [1.0, 1.0])
+        np.testing.assert_allclose(standardize(d).raw_std, [1.0, 1.0])
         np.testing.assert_array_equal(d.y, [1.0, -1.0])
-        assert not d.standardized
 
     def test_no_label_column_gives_unlabeled(self, tmp_path):
         p = write_csv(tmp_path / "d.csv", "f1,f2\n1,2\n3,4\n")
@@ -399,12 +430,16 @@ class TestStandardize:
         assert np.max(np.abs(again - s.X)) < 1e-12
 
     def test_standardize_like_uses_reference_stats(self):
-        ref = make_dataset(np.array([[0.0], [2.0]]))  # mean 1, std 1
+        ref = standardize(make_dataset(np.array([[0.0], [2.0]])))  # mean 1, std 1
         other = make_dataset(np.array([[3.0], [5.0]]))
         s = standardize_like(other, ref)
         np.testing.assert_allclose(s.X[:, 0], [2.0, 4.0])
-        assert s.standardized
+        assert s.raw_mean is ref.raw_mean and s.raw_std is ref.raw_std
 
+    def test_standardize_like_rejects_unstandardized_reference(self):
+        ref = make_dataset(np.array([[0.0], [2.0]]))
+        with pytest.raises(ValueError, match="reference dataset is not standardized"):
+            standardize_like(make_dataset(np.array([[3.0], [5.0]])), ref)
 
     # rejected before any statistic is computed, so without numpy's warnings
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -420,7 +455,7 @@ class TestStandardize:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_standardize_like_rejects_non_finite_cell(self):
-        ref = make_dataset([[0.0, 1.0], [2.0, 3.0]])
+        ref = standardize(make_dataset([[0.0, 1.0], [2.0, 3.0]]))
         with np.errstate(invalid="ignore"):
             d = make_dataset([[0.0, 1.0], [-np.inf, 2.0]])
         with pytest.raises(ValueError, match="non-finite value -inf at row 1, column 'f0'"):
@@ -431,35 +466,23 @@ class TestStandardize:
         # the column's rounded mean differs from its value by an ulp; its std
         # used to come out a few ulps, not 0, and the column standardized to +-1
         X = np.column_stack([np.full(m, value), np.arange(m, dtype=float)])
-        d = make_dataset(X)
+        d = standardize(make_dataset(X))
         assert d.raw_std[0] == 0.0 and d.raw_std[1] == X[:, 1].std()
-        assert np.all(standardize(d).X[:, 0] == 0.0)
+        assert np.all(d.X[:, 0] == 0.0)
         validation = make_dataset(np.column_stack([np.full(4, value + 0.1), np.arange(4.0)]))
         assert np.all(standardize_like(validation, d).X[:, 0] == 0.0)
         ensemble = BootstrapEnsemble(weights=np.ones((2, 2)), seeds=(0, 1), model_tag="t")
         assert feature_importance(ensemble, d.raw_std).importance[0] == 0.0
 
-    # rejected before any statistic is applied, so without numpy's warnings
+    # rejected before any statistic is computed, so without numpy's warnings
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_standardize_like_rejects_a_reference_column_holding_inf(self):
-        # raw mean inf and raw std nan used to erase the cohort's column to zeros
+        # raw mean inf and raw std nan used to erase the cohort's column to zeros;
+        # a reference takes its statistics from standardize, which refuses the cell
         with np.errstate(invalid="ignore"):  # make_dataset keeps non-finite cells
             ref = make_dataset([[np.inf, 1.0], [0.0, 3.0]])
-        with pytest.raises(ValueError, match="reference raw_mean is inf at column 'f0'"):
-            standardize_like(make_dataset([[1.0, 2.0], [5.0, 4.0]]), ref)
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("stat, values, message", [
-        ("raw_mean", [1.0, -np.inf], "reference raw_mean is -inf at column 'f1'"),
-        ("raw_std", [1.0, np.nan], "reference raw_std is nan at column 'f1'"),
-        ("raw_std", [np.inf, 1.0], "reference raw_std is inf at column 'f0'"),
-    ])
-    def test_standardize_like_rejects_non_finite_reference_statistic(self, stat, values,
-                                                                     message):
-        # Dataset itself accepts these, as make_dataset keeps non-finite cells
-        ref = replace(make_dataset([[0.0, 1.0], [2.0, 3.0]]), **{stat: np.array(values)})
-        with pytest.raises(ValueError, match=message):
-            standardize_like(make_dataset([[1.0, 2.0], [5.0, 4.0]]), ref)
+        with pytest.raises(ValueError, match="non-finite value inf at row 0, column 'f0'"):
+            standardize(ref)
 
     @staticmethod
     def two_buffers(X, mean, std):
@@ -471,14 +494,14 @@ class TestStandardize:
         rng = np.random.default_rng(9)
         X = rng.normal(2.0, 3.0, size=(40, 4))
         X[:, 1] = 0.7  # a constant column
-        d = make_dataset(X)
-        assert same_bits(standardize(d).X, self.two_buffers(X, d.raw_mean, d.raw_std))
+        s = standardize(make_dataset(X))
+        assert same_bits(s.X, self.two_buffers(X, s.raw_mean, s.raw_std))
         # the reference holds column 2 constant; its column 0 has mean +0.0, so the
         # cell -0.0 centers to -0.0
         ref_X = rng.normal(size=(30, 4))
         ref_X[:, 0] = np.tile([-1.5, 1.5], 15)
         ref_X[:, 2] = -4.0
-        ref = make_dataset(ref_X)
+        ref = standardize(make_dataset(ref_X))
         other = rng.normal(size=(25, 4))
         other[0, 0] = -0.0
         got = standardize_like(make_dataset(other), ref).X
@@ -487,7 +510,8 @@ class TestStandardize:
 
     def test_traced_peak_is_one_cohort(self):
         d = make_dataset(np.random.default_rng(10).normal(size=(2000, 500)))
-        for rescale in (standardize, lambda d: standardize_like(d, d)):
+        ref = standardize(d)
+        for rescale in (standardize, lambda d: standardize_like(d, ref)):
             _, peak = traced_peak(lambda: rescale(d))
             assert peak <= 1.1 * d.X.nbytes  # 2.01 with a zeros buffer beside the copy
 
@@ -509,23 +533,42 @@ class TestDerivedCohorts:
             d = make_dataset(X, y=y)
             names = sorted(rng.choice(d.feature_names, size=rng.integers(1, n + 1), replace=False))
             idx = [d.feature_names.index(c) for c in names]
-            s, like = standardize(d), standardize_like(d, d)
+            s = standardize(d)
+            like = standardize_like(d, s)
             aligned = align_common_features(d, make_dataset(np.zeros((1, len(names))),
                                                             feature_names=names))[0]
             assert s.X.tobytes() == like.X.tobytes()
+            assert same_bytes(s.raw_mean, X.mean(axis=0))
+            assert same_bytes(s.raw_std, np.where((X == X[0]).all(axis=0), 0.0, X.std(axis=0)))
             for c in (s, like):
-                assert c.standardized and c.feature_names == d.feature_names
-                assert all(same_bytes(getattr(c, f), getattr(d, f))
-                           for f in ("y", "raw_mean", "raw_std"))
-            assert not aligned.standardized and aligned.feature_names == tuple(names)
+                assert c.feature_names == d.feature_names and same_bytes(c.y, d.y)
+                assert same_bytes(c.raw_mean, s.raw_mean) and same_bytes(c.raw_std, s.raw_std)
+            assert aligned.raw_mean is None and aligned.raw_std is None
+            assert aligned.feature_names == tuple(names)
             assert same_bytes(aligned.X, X[:, idx]) and same_bytes(aligned.y, y)
-            assert same_bytes(aligned.raw_mean, d.raw_mean[idx])
-            assert same_bytes(aligned.raw_std, d.raw_std[idx])
+
+    def test_standardize_like_equals_standardize_on_aligned_augment(self, tmp_path):
+        # the augment cohort loads C-ordered and aligns F-ordered, so its column
+        # means computed at load once differed from standardize's in the last bit
+        write_bundle(DEFAULT_SPEC, tmp_path)
+        cohorts = [load_dataset(tmp_path / name, label_column=label) for name, label in
+                   (("train.csv", "label"), ("validation.csv", "label"), ("augment.csv", None))]
+        augment = align_common_features(*cohorts)[2]
+        s = standardize(augment)
+        like = standardize_like(augment, s)
+        assert same_bits(like.X, s.X)
+        assert same_bytes(like.raw_mean, s.raw_mean) and same_bytes(like.raw_std, s.raw_std)
 
 
 class TestAlignCommonFeatures:
     def make(self, names):
         return make_dataset(np.arange(2 * len(names), dtype=float).reshape(2, -1), feature_names=names)
+
+    def test_standardized_cohort_rejected(self):
+        # selecting columns would reorder X but not the statistics it was scaled by
+        a, b = self.make(["z", "a"]), self.make(["a", "z"])
+        with pytest.raises(ValueError, match="aligned before they are standardized"):
+            align_common_features(standardize(a), b)
 
     def test_intersection(self):
         a, b = self.make(["f1", "f2", "f3"]), self.make(["f2", "f3", "f4"])
@@ -570,6 +613,26 @@ class TestDatasetInvariants:
     def test_label_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
             make_dataset(np.zeros((2, 1)), y=[1.0])
+
+    # standardize_like used to read these from its reference, and erase the columns
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("stat, values, message", [
+        ("raw_mean", [1.0, -np.inf], "raw_mean is -inf at column 'f1'"),
+        ("raw_std", [1.0, np.nan], "raw_std is nan at column 'f1'"),
+        ("raw_std", [np.inf, 1.0], "raw_std is inf at column 'f0'"),
+        ("raw_std", [1.0, -0.5], "raw_std is -0.5 at column 'f1'"),
+        ("raw_std", [1.0], "raw_mean and raw_std must both hold one entry per column"),
+    ])
+    def test_bad_statistic_rejected(self, stat, values, message):
+        s = standardize(make_dataset([[0.0, 1.0], [2.0, 3.0]]))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replace(s, **{stat: np.array(values)})
+
+    def test_statistics_set_together(self):
+        d = make_dataset(np.zeros((2, 2)))
+        assert d.raw_mean is None and d.raw_std is None
+        with pytest.raises(ValueError, match="must both hold one entry per column"):
+            replace(d, raw_std=np.ones(2))
 
 
 class TestLaplacian:
