@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import pickle
+import tempfile
 import warnings
 from contextlib import closing
 
@@ -40,25 +42,31 @@ def _worker_blas_setter():
     return None
 
 
-# A pool worker's job, set in each worker by ``_start_worker``, never in the
-# process that owns the pool.
+# A pool worker's job and the directory it writes results to, set in each
+# worker by ``_start_worker``, never in the process that owns the pool.
 _worker_job = None
 
 
-def _start_worker(job, set_blas_threads) -> None:
+def _start_worker(job, set_blas_threads, out_dir: str) -> None:
     # workers that kept OpenBLAS's default thread count would oversubscribe
     # the CPUs, their threads spinning against each other
     global _worker_job
     set_blas_threads(1)
-    _worker_job = job
+    _worker_job = job, out_dir
 
 
-def _run_worker_job(i: int):
-    """``job(i)`` and the warnings it issued: a worker's own never reach the parent."""
+def _run_worker_job(i: int) -> None:
+    """Write ``job(i)`` and the warnings it issued to file ``i`` of the call's
+    directory: a worker's own warnings never reach the parent."""
+    job, out_dir = _worker_job
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = _worker_job(i)
-    return result, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+        result = job(i)
+    caught = [(w.message, w.category, w.filename, w.lineno) for w in caught]
+    with open(os.path.join(out_dir, str(i)), "wb") as fh:
+        # protocol 5 writes each array's buffer in-band, read back into one
+        # bytearray that the array views
+        pickle.dump((result, caught), fh, protocol=5)
 
 
 def imap_in_order(job, n_jobs: int):
@@ -71,6 +79,11 @@ def imap_in_order(job, n_jobs: int):
     does serially.  A failure raises the error of the lowest failing job, as
     the serial loop would, and a worker that dies raises ``BrokenProcessPool``.
     Closing the generator early cancels the jobs no worker has started.
+
+    Pooled results come back through one temporary file per job, which this
+    thread reads: the executor's own thread would unpickle them into memory
+    that later allocations here cannot reuse.  So the pooled path needs a
+    writable temporary directory (``TMPDIR``).
     """
     workers = _worker_count(n_jobs)
     set_blas_threads = _worker_blas_setter() if workers >= 2 else None
@@ -83,14 +96,19 @@ def imap_in_order(job, n_jobs: int):
 
     registry = {}
     # fork, not spawn: workers inherit the job and the imported modules
-    # instead of importing them again; closing the map cancels its queued jobs
-    with ProcessPoolExecutor(
+    # instead of importing them again; closing the map cancels its queued
+    # jobs, and the directory goes once the pool has shut down
+    with tempfile.TemporaryDirectory() as out_dir, ProcessPoolExecutor(
         workers,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_start_worker,
-        initargs=(job, set_blas_threads),
-    ) as pool, closing(pool.map(_run_worker_job, range(n_jobs))) as results:
-        for result, caught in results:
+        initargs=(job, set_blas_threads, out_dir),
+    ) as pool, closing(pool.map(_run_worker_job, range(n_jobs))) as done:
+        for i, _ in enumerate(done):
+            path = os.path.join(out_dir, str(i))
+            with open(path, "rb") as fh:
+                result, caught = pickle.load(fh)
+            os.remove(path)
             for message, category, filename, lineno in caught:
                 warnings.warn_explicit(message, category, filename, lineno, registry=registry)
             yield result

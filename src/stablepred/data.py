@@ -318,8 +318,8 @@ def standardize_like(d: Dataset, reference: Dataset) -> Dataset:
 
 
 def _select_columns(d: Dataset, names: list[str]) -> Dataset:
-    idx = [d.feature_names.index(n) for n in names]
-    return replace(d, feature_names=tuple(names), X=d.X[:, idx])
+    column = {n: j for j, n in enumerate(d.feature_names)}
+    return replace(d, feature_names=tuple(names), X=d.X[:, [column[n] for n in names]])
 
 
 def align_common_features(*cohorts: Dataset) -> tuple[Dataset, ...]:

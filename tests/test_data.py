@@ -3,6 +3,7 @@
 import csv
 import multiprocessing
 import os
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -590,6 +591,23 @@ class TestAlignCommonFeatures:
         a2, _ = align_common_features(a, b)
         b3, _ = align_common_features(b, a)
         assert a2.feature_names == b3.feature_names
+
+    def test_wide_shuffled_cohorts_align_fast(self):
+        # each column is found in one lookup: 7.5 s here when every name was
+        # searched for in the feature list; a column's cells hold its number
+        n = 20_000
+        rng = np.random.default_rng(4)
+        cohorts = []
+        for _ in range(2):
+            order = rng.permutation(n)
+            cohorts.append(make_dataset(np.vstack([order, -order]).astype(float),
+                                        feature_names=[f"f{j:05d}" for j in order]))
+        start = time.perf_counter()
+        aligned = align_common_features(*cohorts)
+        assert time.perf_counter() - start < 1.0
+        for d in aligned:
+            assert d.feature_names == tuple(f"f{j:05d}" for j in range(n))
+            np.testing.assert_array_equal(d.X, [np.arange(n), -np.arange(n)])
 
     def test_columns_and_labels_carried(self):
         a = make_dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), y=[1, -1], feature_names=["x", "y"])

@@ -5,6 +5,7 @@ import glob
 import multiprocessing
 import os
 import signal
+import tempfile
 import time
 import tracemalloc
 import warnings
@@ -35,7 +36,7 @@ from stablepred.stability import (
 )
 from stablepred.synthetic import SyntheticSpec, generate, make_group_graph
 
-from conftest import force_workers, needs_pool
+from conftest import force_workers, needs_pool, traced_peak
 
 
 def ensemble_from(weights, tag="test"):
@@ -624,6 +625,14 @@ class TestBootstrapPool:
     small_data = TestRunBootstraps.small_data
     cfg = TestRunBootstraps.cfg
 
+    @pytest.fixture
+    def result_dir(self, monkeypatch, tmp_path):
+        """An empty directory that every temporary directory is made in."""
+        out = tmp_path / "tmp"
+        out.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(out))
+        return out
+
     def test_jobs_run_in_one_thread_workers_in_order(self, monkeypatch):
         force_workers(monkeypatch, 2)
         out = list(_pool.imap_in_order(lambda i: (i, os.getpid(), blas_threads()), 5))
@@ -685,7 +694,20 @@ class TestBootstrapPool:
         assert exc.value.iteration == 1
         assert multiprocessing.active_children() == []
 
-    def test_failure_cancels_queued_jobs(self, monkeypatch, tmp_path):
+    @needs_pool
+    def test_pooled_arrays_traced_peak(self, monkeypatch):
+        # each result is read on this thread straight into the one buffer its
+        # array views: 2.01 arrays; 3.13 when the executor's thread unpickled
+        # a message, then the array's state bytes, then the array
+        force_workers(monkeypatch, 2)
+        shape = (2000, 500)
+        out, peak = traced_peak(lambda: list(_pool.imap_in_order(
+            lambda i: np.random.default_rng(i).normal(size=shape), 2)))
+        for i, x in enumerate(out):
+            assert x.tobytes() == np.random.default_rng(i).normal(size=shape).tobytes()
+        assert peak <= 2.1 * out[0].nbytes
+
+    def test_failure_cancels_queued_jobs(self, monkeypatch, tmp_path, result_dir):
         # Executor.map cancels the jobs still queued once a result raises, so a
         # fit that fails at once does not wait for the rest of the ensemble
         force_workers(monkeypatch, 2)
@@ -703,6 +725,7 @@ class TestBootstrapPool:
             list(_pool.imap_in_order(job, 40))
         assert multiprocessing.active_children() == []
         assert len(ran.read_text(encoding="utf-8").split() if ran.exists() else []) < 20
+        assert list(result_dir.iterdir()) == []
 
     def test_results_stream_before_later_jobs_finish(self, monkeypatch, tmp_path):
         # each result is yielded once it and every earlier one are done: jobs
@@ -724,7 +747,7 @@ class TestBootstrapPool:
         assert list(results) == [1, 2, 3]
         assert multiprocessing.active_children() == []
 
-    def test_closing_the_stream_cancels_queued_jobs(self, monkeypatch, tmp_path):
+    def test_closing_the_stream_cancels_queued_jobs(self, monkeypatch, tmp_path, result_dir):
         force_workers(monkeypatch, 2)
         ran = tmp_path / "ran"
 
@@ -740,8 +763,9 @@ class TestBootstrapPool:
         results.close()
         assert multiprocessing.active_children() == []
         assert len(ran.read_text(encoding="utf-8").split()) < 20
+        assert list(result_dir.iterdir()) == []
 
-    def test_dead_worker_raises(self, monkeypatch):
+    def test_dead_worker_raises(self, monkeypatch, result_dir):
         # a worker killed from outside (say, for memory) fails the map, not hangs it
         force_workers(monkeypatch, 2)
         parent = os.getpid()
@@ -754,6 +778,7 @@ class TestBootstrapPool:
         with pytest.raises(BrokenProcessPool):
             list(_pool.imap_in_order(job, 3))
         assert multiprocessing.active_children() == []
+        assert list(result_dir.iterdir()) == []
 
     def test_serial_inside_a_daemon_process(self, monkeypatch):
         # a pool worker may not start processes of its own
