@@ -80,10 +80,9 @@ def imap_in_order(job, n_jobs: int):
     the serial loop would, and a worker that dies raises ``BrokenProcessPool``.
     Closing the generator early cancels the jobs no worker has started.
 
-    Pooled results come back through one temporary file per job, which this
-    thread reads: the executor's own thread would unpickle them into memory
-    that later allocations here cannot reuse.  So the pooled path needs a
-    writable temporary directory (``TMPDIR``).
+    Pooled results come back through a temporary file per job that this
+    thread reads (the executor's thread would unpickle them into memory this
+    thread cannot reuse), so the pooled path needs a writable ``TMPDIR``.
     """
     workers = _worker_count(n_jobs)
     set_blas_threads = _worker_blas_setter() if workers >= 2 else None

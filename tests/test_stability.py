@@ -697,7 +697,7 @@ class TestBootstrapPool:
     @needs_pool
     def test_pooled_arrays_traced_peak(self, monkeypatch):
         # each result is read on this thread straight into the one buffer its
-        # array views: 2.01 arrays; 3.13 when the executor's thread unpickled
+        # array views: 2.01-2.05 arrays; 3.13 when the executor's thread unpickled
         # a message, then the array's state bytes, then the array
         force_workers(monkeypatch, 2)
         shape = (2000, 500)
