@@ -21,10 +21,10 @@ def _cmd_gen_synthetic(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
-    report = run_experiment(cfg)
     out_dir = args.out or cfg.output_dir
     if out_dir is None:
         raise ValueError("no output directory: set output_dir in the config or pass --out")
+    report = run_experiment(cfg)
     written = emit_report(report, out_dir)
     for path in written:
         print(f"wrote {path}")

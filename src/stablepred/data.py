@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, replace
 from numbers import Integral, Real
 from pathlib import Path
@@ -140,13 +140,7 @@ def load_dataset(path, label_column: str | None = None) -> Dataset:
     and column.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a header row") from None
+    with _open_csv(path) as (fh, header):
         n_lines = 0
 
         def data_lines():  # numpy skips empty lines; the line count exposes them
@@ -197,6 +191,27 @@ def load_dataset(path, label_column: str | None = None) -> Dataset:
         header = [header[j] for j in keep]
 
     return make_dataset(values, y=y, feature_names=header)
+
+
+@contextmanager
+def _open_csv(path: Path):
+    """The open cohort CSV at ``path`` and its header row, read from it: the
+    file is left at the first data line.  A missing or empty file is refused."""
+    if not path.exists():
+        raise FileNotFoundError(f"no such file: {path}")
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            header = next(csv.reader(fh))
+        except StopIteration:
+            raise ValueError(f"{path}: empty file, expected a header row") from None
+        yield fh, header
+
+
+def _read_header(path) -> list[str]:
+    """The header row of the cohort CSV at ``path``, refused as ``load_dataset``
+    refuses a missing or empty file."""
+    with _open_csv(Path(path)) as (_, header):
+        return header
 
 
 def _locate_bad_cell(path: Path, header: list[str]) -> str | None:
@@ -322,6 +337,15 @@ def _select_columns(d: Dataset, names: list[str]) -> Dataset:
     return replace(d, feature_names=tuple(names), X=d.X[:, [column[n] for n in names]])
 
 
+def _common_names(name_lists, label: str | None = None) -> list[str]:
+    """The names every list holds, except ``label``, sorted lexicographically;
+    raises if there are none."""
+    common = sorted(set.intersection(*map(set, name_lists)) - {label})
+    if not common:
+        raise ValueError("datasets share no feature names")
+    return common
+
+
 def align_common_features(*cohorts: Dataset) -> tuple[Dataset, ...]:
     """Restrict every cohort to the columns all share, ordered lexicographically.
 
@@ -330,9 +354,7 @@ def align_common_features(*cohorts: Dataset) -> tuple[Dataset, ...]:
     """
     if any(d.raw_std is not None for d in cohorts):
         raise ValueError("cohorts must be aligned before they are standardized")
-    common = sorted(set.intersection(*(set(d.feature_names) for d in cohorts)))
-    if not common:
-        raise ValueError("datasets share no feature names")
+    common = _common_names(d.feature_names for d in cohorts)
     return tuple(_select_columns(d, common) for d in cohorts)
 
 

@@ -21,9 +21,11 @@ from ._pool import imap_in_order
 from .data import (
     Dataset,
     FeatureGraph,
+    _common_names,
+    _read_header,
     _require_int,
     _require_real,
-    align_common_features,
+    _select_columns,
     build_laplacian,
     load_dataset,
     load_feature_graph,
@@ -199,20 +201,28 @@ _POOLED_LOAD_BYTES = 12_000_000
 def _load_cohorts(cfg: ExperimentConfig):
     """The aligned train, validation and augment (or None) cohorts.
 
-    Large files load in parallel forked workers (``np.loadtxt`` holds the GIL,
-    so threads would not help), with the serial loads' warnings and errors.
+    Every file's header row is read first, in file order, so a missing or
+    empty file, then cohorts that share no feature name, are refused before
+    any cohort loads.  Each load job then keeps the shared columns, sorted,
+    as ``align_common_features`` would, so no unaligned cohort reaches this
+    process.  Large files load in parallel forked workers (``np.loadtxt``
+    holds the GIL, so threads would not help), with the serial loads'
+    warnings and errors: a fault in a file's rows is the lowest failing job's.
     """
     jobs = [(cfg.train_path, cfg.label_column), (cfg.validation_path, cfg.label_column)]
     if cfg.augment_path is not None:
         jobs.append((cfg.augment_path, None))
-    size = sum(os.path.getsize(path) for path, _ in jobs if os.path.isfile(path))
-    if size < _POOLED_LOAD_BYTES:
-        cohorts = [load_dataset(path, label_column=label) for path, label in jobs]
+    common = _common_names([_read_header(path) for path, _ in jobs], cfg.label_column)
+
+    def load(i: int) -> Dataset:
+        path, label = jobs[i]
+        return _select_columns(load_dataset(path, label_column=label), common)
+
+    if sum(os.path.getsize(path) for path, _ in jobs) < _POOLED_LOAD_BYTES:
+        cohorts = tuple(map(load, range(len(jobs))))
     else:
-        cohorts = list(imap_in_order(lambda i: load_dataset(jobs[i][0], label_column=jobs[i][1]),
-                                     len(jobs)))
-    aligned = align_common_features(*cohorts)
-    return aligned if cfg.augment_path is not None else (*aligned, None)
+        cohorts = tuple(imap_in_order(load, len(jobs)))
+    return cohorts if cfg.augment_path is not None else (*cohorts, None)
 
 
 def _build_laplacian_for(cfg: ExperimentConfig, train: Dataset):
@@ -242,15 +252,15 @@ def run_experiment(cfg: ExperimentConfig) -> StabilityReport:
         _require_int("k_list entries", k, 1, n - 1)
     _require_int("top_for_snr", cfg.top_for_snr, 1, n)
 
-    lap, dropped_edges = _build_laplacian_for(cfg, train)
-
-    # each raw cohort is released once its standardized form exists
+    # each raw cohort is released once its standardized form exists, and the
+    # Laplacian is built only then
     train_s = standardize(train)
     del train
     validation_s = standardize_like(validation, train_s)
     del validation
     augment_rows = standardize(augment).X if augment is not None else None
     del augment
+    lap, dropped_edges = _build_laplacian_for(cfg, train_s)
 
     spec = ModelSpec(name=cfg.model, laplacian=lap, augment=augment_rows)
     base_seed = cfg.optimizer.seed

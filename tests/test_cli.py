@@ -106,6 +106,15 @@ class TestRun:
         assert main(["run", "--config", str(cfg_path)]) == 1
         assert "lambda_ae" in capsys.readouterr().err
 
+    def test_missing_output_dir_refused_before_loading(self, tmp_path, capsys):
+        payload = run_config(tmp_path, tmp_path / "absent")
+        del payload["output_dir"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: no output directory: set output_dir in the config or pass --out\n")
+
 
 class TestCompare:
     def test_two_model_comparison(self, tmp_path, spec_file, capsys):

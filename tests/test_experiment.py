@@ -6,6 +6,7 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import re
 from pathlib import Path
 
@@ -593,27 +594,43 @@ class TestPooledLoad:
 
     def test_loaded_cohorts_identical(self, cohort_dir, tmp_path, monkeypatch):
         force_workers(monkeypatch, 2)
-        pids, loaded = tmp_path / "pids", []
-        load, align = experiment.load_dataset, experiment.align_common_features
+        pids, records = tmp_path / "pids", tmp_path / "records"
+        records.mkdir()
+        load, select = experiment.load_dataset, experiment._select_columns
+        loading = []  # the file this process loads last: the next selection's cohort
 
-        def recording_load(*args, **kwargs):
+        def recording_load(path, *args, **kwargs):
             with open(pids, "a", encoding="utf-8") as fh:
                 fh.write(f"{os.getpid()}\n")
-            return load(*args, **kwargs)
+            loading[:] = [Path(path).stem]
+            return load(path, *args, **kwargs)
 
-        def recording_align(*cohorts):
-            loaded.append(cohorts)
-            return align(*cohorts)
+        def recording_select(d, names):
+            # "xb": one record per process and file, so a second selection fails
+            with open(records / f"{os.getpid()}-{loading[0]}", "xb") as fh:
+                pickle.dump(d, fh)
+            return select(d, names)
 
         monkeypatch.setattr(experiment, "load_dataset", recording_load)
-        monkeypatch.setattr(experiment, "align_common_features", recording_align)
+        monkeypatch.setattr(experiment, "_select_columns", recording_select)
         cfg = ag_config(cohort_dir)
         serial, pooled = load_both_ways(monkeypatch, lambda: experiment._load_cohorts(cfg))
         loader_pids = list(map(int, pids.read_text(encoding="utf-8").split()))
         assert loader_pids[:3] == [os.getpid()] * 3  # small files: the serial loads
         assert len(loader_pids) == 6 and os.getpid() not in loader_pids[3:]
+        # the cohorts as loaded, each selected where it was loaded: serially in
+        # this process, pooled in the workers that loaded them
+        loaded = {"serial": {}, "pooled": {}}
+        for record in records.iterdir():
+            pid, stem = record.name.split("-")
+            side = "serial" if int(pid) == os.getpid() else "pooled"
+            assert side == "serial" or int(pid) in loader_pids[3:]
+            loaded[side][stem] = pickle.loads(record.read_bytes())
+        names = ["augment", "train", "validation"]
+        assert sorted(loaded["serial"]) == sorted(loaded["pooled"]) == names
+        as_loaded = [(loaded["serial"][n], loaded["pooled"][n]) for n in names]
         # the cohorts as loaded, then as aligned
-        for a, b in [*zip(*loaded), *zip(serial, pooled)]:
+        for a, b in [*as_loaded, *zip(serial, pooled)]:
             assert a.feature_names == b.feature_names
             assert a.X.tobytes() == b.X.tobytes()
             assert a.X.flags.f_contiguous == b.X.flags.f_contiguous
@@ -635,20 +652,32 @@ class TestPooledLoad:
             run_experiment(base_config(cohort_dir, train_path=str(path)))
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("broken", ["missing", "ragged", "both"])
+    @pytest.mark.parametrize("broken", ["missing", "ragged", "both", "ragged-then-missing",
+                                        "disjoint"])
     def test_errors_match_serial_load(self, cohort_dir, tmp_path, monkeypatch, broken):
         force_workers(monkeypatch, 2)
+        text = (cohort_dir / "validation.csv").read_text(encoding="utf-8")
         ragged = tmp_path / "ragged.csv"
-        ragged.write_text((cohort_dir / "validation.csv").read_text(encoding="utf-8")
-                          + "1.0,2.0\r\n", encoding="utf-8")
-        paths = {"validation_path": str(ragged if broken == "ragged" else tmp_path / "no.csv")}
+        ragged.write_text(text + "1.0,2.0\r\n", encoding="utf-8")
+        missing = tmp_path / "no.csv"
+        paths = {"validation_path": str(ragged if broken == "ragged" else missing)}
         if broken == "both":  # the lowest failing file wins
-            paths = {"train_path": str(tmp_path / "no.csv"), "validation_path": str(ragged)}
+            paths = {"train_path": str(missing), "validation_path": str(ragged)}
+        if broken == "ragged-then-missing":  # header faults come before row faults
+            paths = {"train_path": str(ragged), "validation_path": str(missing)}
+        if broken == "disjoint":
+            header, rest = text.split("\n", 1)
+            renamed = ",".join(n if n == "label" else f"x_{n}" for n in header.split(","))
+            disjoint = tmp_path / "disjoint.csv"
+            disjoint.write_text(f"{renamed}\n{rest}", encoding="utf-8")
+            paths = {"validation_path": str(disjoint)}
         cfg = base_config(cohort_dir, **paths)
         serial, pooled = load_both_ways(monkeypatch, lambda: experiment._load_cohorts(cfg))
         assert pooled == serial
         if broken == "ragged":
             assert serial == (ValueError, f"{ragged}: row 52 has 2 fields, expected 13")
+        elif broken == "disjoint":
+            assert serial == (ValueError, "datasets share no feature names")
         else:
-            assert serial == (FileNotFoundError, f"no such file: {tmp_path / 'no.csv'}")
+            assert serial == (FileNotFoundError, f"no such file: {missing}")
         assert multiprocessing.active_children() == []
