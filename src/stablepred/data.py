@@ -290,10 +290,12 @@ def _column_std(X: np.ndarray) -> np.ndarray:
     return std
 
 
-def _rescale(d: Dataset, reference: Dataset | None) -> Dataset:
+def _rescale(d: Dataset, reference: Dataset | None, out: np.ndarray | None = None) -> Dataset:
     """Center ``d`` by a mean and divide by a std, writing 0 where the std is 0:
     ``d``'s own column statistics, or else the standardized reference cohort's.
-    A non-finite cell is rejected with its row and column."""
+    A non-finite cell is rejected with its row and column.  The cells go to
+    ``out`` when it is given, which may be ``d.X``: the checks and statistics
+    come first, and the bits are those a new array would hold."""
     if d.raw_std is not None:
         raise ValueError("dataset is already standardized")
     if reference is not None and reference.raw_std is None:
@@ -307,7 +309,7 @@ def _rescale(d: Dataset, reference: Dataset | None) -> Dataset:
         mean, std = d.X.mean(axis=0), _column_std(d.X)
     else:
         mean, std = reference.raw_mean, reference.raw_std
-    scaled = d.X - mean  # the one full-size buffer: divided in place
+    scaled = np.subtract(d.X, mean, out=out)  # divided in place
     np.divide(scaled, std, out=scaled, where=std > 0)
     scaled[:, ~(std > 0)] = 0.0
     return replace(d, X=scaled, raw_mean=mean, raw_std=std)

@@ -23,14 +23,13 @@ from .data import (
     FeatureGraph,
     _common_names,
     _read_header,
+    _rescale,
     _require_int,
     _require_real,
     _select_columns,
     build_laplacian,
     load_dataset,
     load_feature_graph,
-    standardize,
-    standardize_like,
 )
 from .metrics import PredictionSet, auc, best_f_threshold, selected_count
 from .models import ModelSpec, check_model_inputs, fit_model, validate_hyperparams
@@ -199,15 +198,20 @@ _POOLED_LOAD_BYTES = 12_000_000
 
 
 def _load_cohorts(cfg: ExperimentConfig):
-    """The aligned train, validation and augment (or None) cohorts.
+    """The standardized train and validation cohorts, and the standardized
+    augment rows (or None), on the shared columns.
 
     Every file's header row is read first, in file order, so a missing or
     empty file, then cohorts that share no feature name, are refused before
     any cohort loads.  Each load job then keeps the shared columns, sorted,
     as ``align_common_features`` would, so no unaligned cohort reaches this
-    process.  Large files load in parallel forked workers (``np.loadtxt``
-    holds the GIL, so threads would not help), with the serial loads'
-    warnings and errors: a fault in a file's rows is the lowest failing job's.
+    process.  The train and augment jobs standardize their cohort on its own
+    statistics in the buffer they loaded it into, and validation is scaled
+    here with train's, in the array it arrived in, so this process never
+    holds a cohort beside a scaled copy.  Large files load in parallel forked
+    workers (``np.loadtxt`` holds the GIL, so threads would not help), with
+    the serial loads' warnings and errors: a fault in a file's rows is the
+    lowest failing job's.
     """
     jobs = [(cfg.train_path, cfg.label_column), (cfg.validation_path, cfg.label_column)]
     if cfg.augment_path is not None:
@@ -216,13 +220,16 @@ def _load_cohorts(cfg: ExperimentConfig):
 
     def load(i: int) -> Dataset:
         path, label = jobs[i]
-        return _select_columns(load_dataset(path, label_column=label), common)
+        d = _select_columns(load_dataset(path, label_column=label), common)
+        return d if i == 1 else _rescale(d, None, out=d.X)  # validation waits for train
 
     if sum(os.path.getsize(path) for path, _ in jobs) < _POOLED_LOAD_BYTES:
-        cohorts = tuple(map(load, range(len(jobs))))
+        cohorts = map(load, range(len(jobs)))
     else:
-        cohorts = tuple(imap_in_order(load, len(jobs)))
-    return cohorts if cfg.augment_path is not None else (*cohorts, None)
+        cohorts = imap_in_order(load, len(jobs))
+    train_s, validation, *augment = cohorts
+    validation_s = _rescale(validation, train_s, out=validation.X)
+    return train_s, validation_s, augment[0].X if augment else None
 
 
 def _build_laplacian_for(cfg: ExperimentConfig, train: Dataset):
@@ -240,26 +247,20 @@ def run_experiment(cfg: ExperimentConfig) -> StabilityReport:
     """Run one configured experiment and return its stability report.
 
     Deterministic: the optimizer seed doubles as the bootstrap base seed,
-    so identical configs produce identical reports.  The final full-data fit
-    runs as the bootstrap pool's last job when the bootstraps' last round
-    leaves a worker idle, else after the pool in this process.
+    so identical configs produce identical reports.  The cohorts arrive
+    standardized from their load jobs and the Laplacian is built after them,
+    so the fits run beside nothing cohort-sized that they do not use.  The
+    final full-data fit runs as the bootstrap pool's last job when the
+    bootstraps' last round leaves a worker idle, else after the pool here.
     """
-    train, validation, augment = _load_cohorts(cfg)
-    if len(np.unique(validation.y)) < 2:
+    train_s, validation_s, augment_rows = _load_cohorts(cfg)
+    if len(np.unique(validation_s.y)) < 2:
         raise ValueError(f"{cfg.validation_path}: validation cohort must hold both classes")
-    n = train.n_features
+    n = train_s.n_features
     for k in cfg.k_list:
         _require_int("k_list entries", k, 1, n - 1)
     _require_int("top_for_snr", cfg.top_for_snr, 1, n)
 
-    # each raw cohort is released once its standardized form exists, and the
-    # Laplacian is built only then
-    train_s = standardize(train)
-    del train
-    validation_s = standardize_like(validation, train_s)
-    del validation
-    augment_rows = standardize(augment).X if augment is not None else None
-    del augment
     lap, dropped_edges = _build_laplacian_for(cfg, train_s)
 
     spec = ModelSpec(name=cfg.model, laplacian=lap, augment=augment_rows)

@@ -84,11 +84,10 @@ def generate(spec: SyntheticSpec, labeled: bool = True) -> Dataset:
     rng = np.random.default_rng(spec.seed)
     m, G, g = spec.n_samples, spec.n_groups, spec.group_size
     z = rng.standard_normal((m, G))
-    eps = rng.standard_normal((m, G * g))
-    eps *= spec.within_group_noise  # in place, and freed once added into X
-    X = np.repeat(z, g, axis=1)
-    X += eps
-    del eps
+    X = rng.standard_normal((m, G * g))  # the noise, scaled in place
+    X *= spec.within_group_noise
+    groups = X.reshape(m, G, g)  # a view of X: group gi's columns are groups[:, gi]
+    groups += z[:, :, None]
 
     y = None
     if labeled:

@@ -547,6 +547,15 @@ class TestDerivedCohorts:
             assert aligned.raw_mean is None and aligned.raw_std is None
             assert aligned.feature_names == tuple(names)
             assert same_bytes(aligned.X, X[:, idx]) and same_bytes(aligned.y, y)
+            # written into the cohort's own buffer, in either memory order
+            for order in "CF":
+                want = standardize(make_dataset(np.array(X, order=order), y=y))
+                for reference in (None, want):
+                    own = make_dataset(np.array(X, order=order), y=y)
+                    got = data._rescale(own, reference, out=own.X)
+                    assert got.X is own.X and same_bits(got.X, want.X)
+                    assert same_bytes(got.raw_mean, want.raw_mean)
+                    assert same_bytes(got.raw_std, want.raw_std)
 
     def test_standardize_like_equals_standardize_on_aligned_augment(self, tmp_path):
         # the augment cohort loads C-ordered and aligns F-ordered, so its column

@@ -14,7 +14,14 @@ import numpy as np
 import pytest
 
 from stablepred import experiment
-from stablepred.data import make_dataset, standardize, write_dataset_csv, write_feature_graph
+from stablepred.data import (
+    align_common_features,
+    make_dataset,
+    standardize,
+    standardize_like,
+    write_dataset_csv,
+    write_feature_graph,
+)
 from stablepred.experiment import (
     ExperimentConfig,
     compare_models,
@@ -626,19 +633,30 @@ class TestPooledLoad:
             side = "serial" if int(pid) == os.getpid() else "pooled"
             assert side == "serial" or int(pid) in loader_pids[3:]
             loaded[side][stem] = pickle.loads(record.read_bytes())
-        names = ["augment", "train", "validation"]
-        assert sorted(loaded["serial"]) == sorted(loaded["pooled"]) == names
-        as_loaded = [(loaded["serial"][n], loaded["pooled"][n]) for n in names]
-        # the cohorts as loaded, then as aligned
-        for a, b in [*as_loaded, *zip(serial, pooled)]:
+        names = ["train", "validation", "augment"]
+        assert sorted(loaded["serial"]) == sorted(loaded["pooled"]) == sorted(names)
+        # the cohorts as loaded
+        for a, b in ((loaded["serial"][n], loaded["pooled"][n]) for n in names):
             assert a.feature_names == b.feature_names
             assert a.X.tobytes() == b.X.tobytes()
             assert a.X.flags.f_contiguous == b.X.flags.f_contiguous
             assert a.raw_std is None and b.raw_std is None
-            sa, sb = standardize(a), standardize(b)  # the statistics depend on memory order
-            assert sa.raw_mean.tobytes() == sb.raw_mean.tobytes()
-            assert sa.raw_std.tobytes() == sb.raw_std.tobytes()
             assert (a.y is None and b.y is None) or a.y.tobytes() == b.y.tobytes()
+        # as returned: aligned and standardized, with the bits, statistics and
+        # memory order of the public functions applied to the cohorts as loaded
+        train, validation, augment = align_common_features(*(loaded["serial"][n] for n in names))
+        train_s = standardize(train)
+        want = (train_s, standardize_like(validation, train_s), standardize(augment).X)
+        for got in (serial, pooled):
+            for a, b in zip(got[:2], want[:2]):
+                assert a.feature_names == b.feature_names
+                assert a.X.tobytes() == b.X.tobytes()
+                assert a.X.flags.f_contiguous == b.X.flags.f_contiguous
+                assert a.raw_mean.tobytes() == b.raw_mean.tobytes()
+                assert a.raw_std.tobytes() == b.raw_std.tobytes()
+                assert a.y.tobytes() == b.y.tobytes()
+            assert got[2].tobytes() == want[2].tobytes()
+            assert got[2].flags.f_contiguous == want[2].flags.f_contiguous
         assert multiprocessing.active_children() == []
 
     def test_label_warning_reaches_caller(self, cohort_dir, tmp_path, monkeypatch):
