@@ -38,14 +38,7 @@ from .models import (
     fit_model,
     validate_hyperparams,
 )
-from .objectives import (
-    FactorizedParams,
-    HyperParams,
-    LinearParams,
-    elastic_net_loss,
-    joint_grad,
-    joint_loss,
-)
+from .objectives import FactorizedParams, HyperParams, LinearParams
 from .optimizer import (
     FitResult,
     NumericalDivergenceError,

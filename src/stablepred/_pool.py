@@ -69,9 +69,10 @@ def _run_worker_job(i: int) -> None:
         pickle.dump((result, caught), fh, protocol=5)
 
 
-def imap_in_order(job, n_jobs: int):
+def imap_in_order(job, n_jobs: int, pooled: bool = True):
     """Yield ``job(i)`` for i in ``range(n_jobs)``, from a pool of forked workers
-    when it can, each result as soon as it and every earlier one are done.
+    when it can and ``pooled`` is true, each result as soon as it and every
+    earlier one are done; else serially, in this process.
 
     Each worker runs OpenBLAS with one thread.  A job's warnings are issued
     here before its result is yielded, under one registry per call: a warning
@@ -84,7 +85,7 @@ def imap_in_order(job, n_jobs: int):
     thread reads (the executor's thread would unpickle them into memory this
     thread cannot reuse), so the pooled path needs a writable ``TMPDIR``.
     """
-    workers = _worker_count(n_jobs)
+    workers = _worker_count(n_jobs) if pooled else 1
     set_blas_threads = _worker_blas_setter() if workers >= 2 else None
     if set_blas_threads is None:
         yield from map(job, range(n_jobs))

@@ -271,10 +271,7 @@ def write_dataset_csv(d: Dataset, path, label_column: str = DEFAULT_LABEL_COLUMN
         return "".join(",".join(map(repr, row)) + end
                        for row, end in zip(X[lo:lo + step].tolist(), labels[lo:lo + step]))
 
-    if X.size < _POOLED_WRITE_CELLS:
-        chunks = (chunk(i) for i in range(len(starts)))
-    else:
-        chunks = imap_in_order(chunk, len(starts))
+    chunks = imap_in_order(chunk, len(starts), pooled=X.size >= _POOLED_WRITE_CELLS)
     # closing: a failed write stops the pool now, not when its traceback is freed
     with closing(chunks), open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(list(d.feature_names) + ([label_column] if d.labeled else []))

@@ -32,10 +32,11 @@ from .data import (
     load_feature_graph,
 )
 from .metrics import PredictionSet, auc, best_f_threshold, selected_count
-from .models import ModelSpec, check_model_inputs, fit_model, validate_hyperparams
+from .models import ModelSpec, check_model_inputs, validate_hyperparams
 from .objectives import HyperParams
 from .optimizer import OptimizerConfig
 from .stability import (
+    SNR_THRESHOLD,
     _bootstraps_and_final_fit,
     feature_importance,
     mean_consistency,
@@ -52,8 +53,6 @@ __all__ = [
     "compare_models",
     "SNR_THRESHOLD",
 ]
-
-SNR_THRESHOLD = 1.96
 
 # Settings objects nested in a config, built from their JSON objects.
 _SETTINGS = {"hyperparams": HyperParams, "optimizer": OptimizerConfig}
@@ -84,12 +83,6 @@ def _read_json(cls, path, what: str):
         return _from_payload(cls, json.load(fh), what)
 
 
-# ExperimentConfig's string fields, each mapped to whether it may be null.
-_STRING_FIELDS = {"train_path": False, "validation_path": False, "model": False,
-                  "label_column": False, "augment_path": True, "graph_path": True,
-                  "output_dir": True}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One stability experiment: cohort paths, model choice, and settings.
@@ -114,10 +107,12 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        for name, nullable in _STRING_FIELDS.items():
-            value = getattr(self, name)
-            if not isinstance(value, str) and not (nullable and value is None):
-                raise ValueError(f"{name} must be a string{' or null' * nullable}, got {value!r}")
+        for f in fields(self):
+            if f.type in ("str", "str | None"):
+                value, nullable = getattr(self, f.name), f.type != "str"
+                if not isinstance(value, str) and not (nullable and value is None):
+                    raise ValueError(f"{f.name} must be a string{' or null' * nullable}, "
+                                     f"got {value!r}")
         validate_hyperparams(self.model, self.hyperparams)
         check_model_inputs(
             self.model, self.graph_path is not None, self.augment_path is not None,
@@ -223,11 +218,8 @@ def _load_cohorts(cfg: ExperimentConfig):
         d = _select_columns(load_dataset(path, label_column=label), common)
         return d if i == 1 else _rescale(d, None, out=d.X)  # validation waits for train
 
-    if sum(os.path.getsize(path) for path, _ in jobs) < _POOLED_LOAD_BYTES:
-        cohorts = map(load, range(len(jobs)))
-    else:
-        cohorts = imap_in_order(load, len(jobs))
-    train_s, validation, *augment = cohorts
+    pooled = sum(os.path.getsize(path) for path, _ in jobs) >= _POOLED_LOAD_BYTES
+    train_s, validation, *augment = imap_in_order(load, len(jobs), pooled=pooled)
     validation_s = _rescale(validation, train_s, out=validation.X)
     return train_s, validation_s, augment[0].X if augment else None
 
@@ -250,8 +242,8 @@ def run_experiment(cfg: ExperimentConfig) -> StabilityReport:
     so identical configs produce identical reports.  The cohorts arrive
     standardized from their load jobs and the Laplacian is built after them,
     so the fits run beside nothing cohort-sized that they do not use.  The
-    final full-data fit runs as the bootstrap pool's last job when the
-    bootstraps' last round leaves a worker idle, else after the pool here.
+    final full-data fit is job B of the bootstrap jobs: it runs in the pool
+    when the bootstraps' last round leaves a worker idle, else after the pool.
     """
     train_s, validation_s, augment_rows = _load_cohorts(cfg)
     if len(np.unique(validation_s.y)) < 2:
@@ -265,10 +257,8 @@ def run_experiment(cfg: ExperimentConfig) -> StabilityReport:
 
     spec = ModelSpec(name=cfg.model, laplacian=lap, augment=augment_rows)
     base_seed = cfg.optimizer.seed
-    ensemble, final = _bootstraps_and_final_fit(
-        lambda: fit_model(spec, train_s, cfg.hyperparams, cfg.optimizer),
-        train_s, spec, cfg.hyperparams, cfg.optimizer, cfg.n_bootstraps, base_seed,
-    )
+    ensemble, final = _bootstraps_and_final_fit(train_s, spec, cfg.hyperparams, cfg.optimizer,
+                                                cfg.n_bootstraps, base_seed)
 
     ranking = feature_importance(ensemble, train_s.raw_std)
     ci_curve = tuple(

@@ -62,8 +62,10 @@ class LinearParams:
         return LinearParams(theta=vec[:-1].copy(), bias=float(vec[-1]))
 
 
-def _factor_views(vec: np.ndarray, k: int, n: int):
-    """u, W, V, b_W, b_V as views into a flat factorized vector (bias is vec[-1])."""
+def _factor_views(vec: np.ndarray, n: int):
+    """u, W, V, b_W, b_V as views into a flat factorized vector over ``n``
+    features (bias is vec[-1]), whose 2k(n + 1) + n + 1 entries fix k."""
+    k = (vec.size - n - 1) // (2 * n + 2)
     kn = k * n
     return (
         vec[:k],
@@ -108,7 +110,7 @@ class FactorizedParams:
         )
 
     def with_vector(self, vec: np.ndarray) -> "FactorizedParams":
-        u, W, V, b_W, b_V = (part.copy() for part in _factor_views(vec, *self.W.shape))
+        u, W, V, b_W, b_V = (part.copy() for part in _factor_views(vec, self.W.shape[1]))
         return FactorizedParams(u=u, W=W, V=V, b_W=b_W, b_V=b_V, bias=float(vec[-1]))
 
 
@@ -235,11 +237,10 @@ def joint_objective(d: Dataset, aug: np.ndarray | None, h: HyperParams,
         rows = X if aug is None else np.vstack([X, aug])
 
     def value_and_grad(vec: np.ndarray):
-        k = (vec.size - n - 1) // (2 * n + 2)  # vec has 2k(n + 1) + n + 1 entries
-        u, W, V, b_W, b_V = _factor_views(vec, k, n)
+        u, W, V, b_W, b_V = _factor_views(vec, n)
         loss, g_theta, g_bias = f(W.T @ u, float(vec[-1]))
         grad = np.zeros_like(vec)
-        g_u, g_W, *g_decoder = _factor_views(grad, k, n)
+        g_u, g_W, *g_decoder = _factor_views(grad, n)
         # theta = W^T u, so d/du = W g_theta and d/dW = u (x) g_theta.
         g_u[:] = W @ g_theta
         np.outer(u, g_theta, out=g_W)
@@ -269,11 +270,10 @@ def autoencoder_objective(X: np.ndarray):
     n = X.shape[1]
 
     def value_and_grad(vec: np.ndarray):
-        k = (vec.size - n - 1) // (2 * n + 2)
-        _, W, V, b_W, b_V = _factor_views(vec, k, n)
+        _, W, V, b_W, b_V = _factor_views(vec, n)
         hidden, residual, loss = _ae_forward(W, V, b_W, b_V, X)
         grad = np.zeros_like(vec)
-        for g, g_ae in zip(_factor_views(grad, k, n)[1:], _ae_backward(V, X, hidden, residual)):
+        for g, g_ae in zip(_factor_views(grad, n)[1:], _ae_backward(V, X, hidden, residual)):
             g[:] = g_ae
         return loss, grad
 

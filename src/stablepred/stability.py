@@ -26,6 +26,8 @@ __all__ = [
     "snr_above",
 ]
 
+SNR_THRESHOLD = 1.96
+
 
 @dataclass(frozen=True, eq=False)
 class BootstrapEnsemble:
@@ -111,21 +113,26 @@ def run_bootstraps(
     the platform allows, with the same results and warnings.  Aborts if any
     fit diverges, reporting the lowest diverging bootstrap.
     """
-    return _bootstraps_and_final_fit(None, d, model_spec, h, cfg, n_bootstraps, base_seed)[0]
+    return _bootstraps_and_final_fit(d, model_spec, h, cfg, n_bootstraps, base_seed,
+                                     final=False)[0]
 
 
-def _bootstraps_and_final_fit(final_fit, d, model_spec, h, cfg, n_bootstraps, base_seed):
-    """``(run_bootstraps(...), final_fit())``; ``None`` for the latter if not given.
+def _bootstraps_and_final_fit(d, model_spec, h, cfg, n_bootstraps, base_seed, final=True):
+    """``(run_bootstraps(...), fit_model(model_spec, d, h, cfg))``, with None for
+    the latter unless ``final``.
 
-    ``final_fit`` runs as the pool's last job when that fills a slot idle in
-    the bootstraps' last round, else here after the pool, with every BLAS thread.
+    The full-data fit is job ``n_bootstraps`` of the bootstrap jobs.  It runs
+    as the pool's last job when that fills a slot idle in the bootstraps'
+    last round, else here after the pool, with every BLAS thread.
     """
     _require_labeled(d)
     _require_int("n_bootstraps", n_bootstraps, 2)
     _require_int("base_seed", base_seed, 0)
     m = d.n_samples
 
-    def fit(b: int) -> np.ndarray:
+    def fit(b: int):
+        if b == n_bootstraps:
+            return fit_model(model_spec, d, h, cfg)
         seed = base_seed + b
         idx = np.random.default_rng(seed).integers(0, m, size=m)
         resampled = replace(d, X=d.X[idx], y=d.y[idx])
@@ -134,16 +141,15 @@ def _bootstraps_and_final_fit(final_fit, d, model_spec, h, cfg, n_bootstraps, ba
         except NumericalDivergenceError as e:
             raise NumericalDivergenceError(f"bootstrap {b}: {e}", e.iteration) from e
 
-    fold = final_fit is not None and n_bootstraps % _pool._worker_count(n_bootstraps + 1) != 0
-    fits = list(_pool.imap_in_order(lambda b: fit(b) if b < n_bootstraps else final_fit(),
-                                    n_bootstraps + fold))
-    final = fits.pop() if fold else final_fit and final_fit()
+    fold = final and n_bootstraps % _pool._worker_count(n_bootstraps + 1) != 0
+    fits = list(_pool.imap_in_order(fit, n_bootstraps + fold))
+    full = fits.pop() if fold else fit(n_bootstraps) if final else None
     ensemble = BootstrapEnsemble(
         weights=np.stack(fits),
         seeds=tuple(base_seed + b for b in range(n_bootstraps)),
         model_tag=model_spec.name,
     )
-    return ensemble, final
+    return ensemble, full
 
 
 def _check_raw_std(raw_std: np.ndarray, n_features: int) -> None:
@@ -249,7 +255,7 @@ def snr_above(
     e: BootstrapEnsemble,
     ranking: FeatureRanking,
     top: int,
-    threshold: float = 1.96,
+    threshold: float = SNR_THRESHOLD,
 ) -> int:
     """Count of the ``top`` ranked features with |SNR| at or above ``threshold``."""
     _require_int("top", top, 1, e.n_features)

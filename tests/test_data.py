@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stablepred import data
+from stablepred import _pool, data
 from stablepred.data import (
     Dataset,
     FeatureGraph,
@@ -240,7 +240,7 @@ class TestPooledWrite:
         force_workers(monkeypatch, 2)
         monkeypatch.setattr(data, "_POOLED_WRITE_CELLS", cohort.X.size + 1)
         monkeypatch.setattr(data, "_WRITE_CHUNK_CELLS", 30)
-        monkeypatch.setattr(data, "imap_in_order", None)  # starting a pool would fail
+        monkeypatch.setattr(_pool, "_worker_blas_setter", None)  # starting a pool would fail
         record_formatting_pids(monkeypatch, pids)
         assert written_bytes(write_dataset_csv, cohort, tmp_path / "new.csv") == expected
         assert pids.read_text(encoding="utf-8").split() == [str(os.getpid())] * cohort.X.size

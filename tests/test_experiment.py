@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stablepred import experiment
+from stablepred import experiment, stability
 from stablepred.data import (
     align_common_features,
     make_dataset,
@@ -518,15 +518,16 @@ class TestFinalFitInPool:
     ])
     def test_placement(self, cohort_dir, tmp_path, monkeypatch, n_bootstraps, workers, in_worker):
         force_workers(monkeypatch, workers)
-        pids, fit_model = tmp_path / "pids", experiment.fit_model
+        pids, fit_model = tmp_path / "pids", stability.fit_model
 
         def recording_fit(*args, **kwargs):
-            # bootstraps call stability's own fit_model, so only the final fit lands here
-            with open(pids, "a", encoding="utf-8") as fh:
-                fh.write(f"{os.getpid()}\n")
+            # only the full-data fit is called without init_seed
+            if "init_seed" not in kwargs:
+                with open(pids, "a", encoding="utf-8") as fh:
+                    fh.write(f"{os.getpid()}\n")
             return fit_model(*args, **kwargs)
 
-        monkeypatch.setattr(experiment, "fit_model", recording_fit)
+        monkeypatch.setattr(stability, "fit_model", recording_fit)
         run_experiment(base_config(cohort_dir, n_bootstraps=n_bootstraps))
         (pid,) = map(int, pids.read_text(encoding="utf-8").split())
         assert (pid != os.getpid()) == in_worker
@@ -544,11 +545,15 @@ class TestFinalFitInPool:
 
     def test_final_fit_divergence_has_no_bootstrap_prefix(self, cohort_dir, monkeypatch):
         force_workers(monkeypatch, 2)
+        fit_model = stability.fit_model
 
         def diverging_fit(*args, **kwargs):
+            # only the full-data fit is called without init_seed
+            if "init_seed" in kwargs:
+                return fit_model(*args, **kwargs)
             raise NumericalDivergenceError("non-finite loss nan at iteration 7", 7)
 
-        monkeypatch.setattr(experiment, "fit_model", diverging_fit)
+        monkeypatch.setattr(stability, "fit_model", diverging_fit)
         with pytest.raises(NumericalDivergenceError) as exc:
             run_experiment(base_config(cohort_dir, n_bootstraps=3))
         assert str(exc.value) == "non-finite loss nan at iteration 7"

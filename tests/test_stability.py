@@ -643,6 +643,18 @@ class TestBootstrapPool:
         assert {threads for _, _, threads in out} == {1}
         assert multiprocessing.active_children() == []
 
+    def test_unpooled_jobs_run_in_the_caller(self, monkeypatch):
+        # pooled=False runs the jobs here even where a pool could start
+        force_workers(monkeypatch, 2)
+
+        def no_setter():
+            raise AssertionError("looked up the workers' BLAS setter")
+
+        monkeypatch.setattr(_pool, "_worker_blas_setter", no_setter)
+        out = list(_pool.imap_in_order(lambda i: (i, os.getpid()), 4, pooled=False))
+        assert out == [(i, os.getpid()) for i in range(4)]
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("model", ["lasso", "lasso-autoencoder-graph"])
     def test_pool_and_serial_weights_identical(self, monkeypatch, model):
         spec = SyntheticSpec(n_samples=40, n_groups=3, group_size=2, seed=3)
