@@ -41,7 +41,6 @@ from .stability import (
     feature_importance,
     mean_consistency,
     snr,
-    snr_above,
     top_k_subsets,
 )
 
@@ -270,7 +269,7 @@ def run_experiment(cfg: ExperimentConfig) -> StabilityReport:
         (rank + 1, train_s.feature_names[i], float(snr_values[i]))
         for rank, i in enumerate(ranking.order[: cfg.top_for_snr])
     )
-    above = snr_above(ensemble, ranking, cfg.top_for_snr, SNR_THRESHOLD)
+    above = sum(v >= SNR_THRESHOLD for _, _, v in snr_rows)  # as snr_above counts them
 
     count, fraction = selected_count(final.effective_theta, cfg.selected_tol)
     scores = validation_s.X @ final.effective_theta + final.bias

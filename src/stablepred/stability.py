@@ -173,23 +173,29 @@ def top_k_subsets(e: BootstrapEnsemble, raw_std: np.ndarray, k: int) -> SubsetFa
     """Top-k feature sets ranked within each bootstrap by |weight| * raw std.
 
     Ties at the k-th score go to the smaller feature indices, so each set is
-    the first k of that row's stable descending order, found in O(B*d).
+    the first k of that row's stable descending order, found in O(B*d).  One
+    B x d score buffer is held: partitioned in place for each row's k-th
+    score, then rewritten with the scores to compare against it.
     """
     _require_int("k", k, 1, e.n_features - 1)
     _check_raw_std(raw_std, e.n_features)
+    b, d = e.weights.shape
     scores = np.abs(e.weights)
     scores *= raw_std  # in place: a fresh B x d temporary costs more than the product
-    top = np.argpartition(scores, -k, axis=1)[:, -k:]
-    kth = np.take_along_axis(scores, top[:, :1], axis=1)
-    over = np.flatnonzero((scores >= kth).sum(axis=1) > k)
+    scores.partition(d - k, axis=1)
+    kth = scores[:, d - k:d - k + 1].copy()
+    np.abs(e.weights, out=scores)
+    scores *= raw_std
+    take = scores >= kth
+    over = np.flatnonzero(take.sum(axis=1) > k)
     if len(over):
         # rows whose ties at the k-th score overfill: keep the lowest-index ties
         sub, kth_sub = scores[over], kth[over]
         above, ties = sub > kth_sub, sub == kth_sub
         room = k - above.sum(axis=1, keepdims=True)
-        take = above | (ties & (np.cumsum(ties, axis=1) <= room))
-        top[over] = np.nonzero(take)[1].reshape(-1, k)
-    return SubsetFamily(top)
+        take[over] = above | (ties & (np.cumsum(ties, axis=1) <= room))
+    # flat indices, row by row in ascending order, less each row's offset
+    return SubsetFamily(np.flatnonzero(take).reshape(b, k) - np.arange(0, b * d, d)[:, None])
 
 
 def consistency_index(s_i: frozenset, s_j: frozenset, d: int) -> float:

@@ -7,7 +7,6 @@ from itertools import combinations
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from .data import (
     Dataset,
@@ -20,7 +19,7 @@ from .data import (
 )
 from .experiment import ExperimentConfig
 from .models import AUGMENTED_MODELS, GRAPH_MODELS
-from .objectives import HyperParams
+from .objectives import HyperParams, expit
 from .optimizer import OptimizerConfig
 
 __all__ = ["SyntheticSpec", "DEFAULT_SPEC", "generate", "make_group_graph", "write_bundle",

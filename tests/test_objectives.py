@@ -2,11 +2,14 @@
 
 import math
 from dataclasses import replace
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.special import expit
 
+from stablepred import objectives
 from stablepred.data import FeatureGraph, build_laplacian, make_dataset
 from stablepred.objectives import (
     FactorizedParams,
@@ -23,6 +26,8 @@ from stablepred.objectives import (
     lasso_loss,
     linear_objective,
 )
+
+from conftest import same_bits
 
 
 def finite_difference(fun, x, step=1e-5):
@@ -102,6 +107,24 @@ def weight_decay(p: FactorizedParams, lambda_l2) -> float:
 def ae_loss(p: FactorizedParams, X) -> float:
     """The mean reconstruction loss over the rows of X."""
     return autoencoder_objective(X)(p.to_vector())[0]
+
+
+class TestExpitLoader:
+    def test_same_bits_as_scipy_special(self):
+        tiny = np.finfo(float).smallest_subnormal
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 1e-310, -1e-310,
+                 745.0, -745.0, 1e308, -1e308]
+        x = np.concatenate([edges, np.random.default_rng(0).normal(0.0, 30.0, 10**6)])
+        # compared as int64 bit patterns, so NaN and the signs of zeros count too
+        ours, theirs = objectives.expit(x), scipy.special.expit(x)
+        assert same_bits(ours.view(np.int64), theirs.view(np.int64))
+
+    @pytest.mark.parametrize("contents", [None, b"not an extension module"])
+    def test_falls_back_to_scipy_special(self, tmp_path, contents):
+        # no extension file in the directory, or one that fails to load
+        if contents is not None:
+            (tmp_path / ("_special_ufuncs" + EXTENSION_SUFFIXES[0])).write_bytes(contents)
+        assert objectives._load_expit(str(tmp_path)) is scipy.special.expit
 
 
 class TestLogisticLossLinear:

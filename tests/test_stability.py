@@ -381,6 +381,16 @@ class TestTopKSubsets:
         order = feature_importance(e, raw_std).order
         assert fam.subsets[0] == frozenset(order[:5].tolist())
 
+    def test_traced_peak_is_one_score_buffer(self):
+        # the scores are partitioned in place for each row's k-th score and then
+        # rewritten, so no B x d index array is held beside them
+        rng = np.random.default_rng(0)
+        e = ensemble_from(rng.standard_normal((500, 1000)))
+        raw_std = rng.uniform(0.5, 2.0, 1000)
+        fam, peak = traced_peak(lambda: top_k_subsets(e, raw_std, 20))
+        assert fam.members.shape == (500, 20)
+        assert peak <= 1.3 * e.weights.nbytes
+
 
 def stable_argsort_top_k(weights, raw_std, k):
     """Reference: the first k of each row's stable descending order."""
