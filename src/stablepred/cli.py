@@ -19,11 +19,20 @@ def _cmd_gen_synthetic(args) -> int:
     return 0
 
 
+def _require_directory(path, what: str) -> None:
+    """Refuse ``path``, named as ``what``, before any cohort loads if the
+    first of it and its parents that exists is not a directory."""
+    existing = next((p for p in (Path(path), *Path(path).parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ValueError(f"{what} {path}: {existing} exists and is not a directory")
+
+
 def _cmd_run(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
     out_dir = args.out or cfg.output_dir
     if out_dir is None:
         raise ValueError("no output directory: set output_dir in the config or pass --out")
+    _require_directory(out_dir, "--out" if args.out else "output_dir")
     report = run_experiment(cfg)
     written = emit_report(report, out_dir)
     for path in written:
@@ -38,6 +47,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfgs = [ExperimentConfig.from_json(path) for path in args.configs]
+    _require_directory(args.out, "--out")
     reports = compare_models(cfgs, output_dir=args.out)
     print(f"wrote {Path(args.out) / 'comparison.csv'}")
     for r in reports:

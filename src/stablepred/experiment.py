@@ -12,7 +12,8 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import MISSING, asdict, dataclass, field, fields
+import tempfile
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -189,38 +190,50 @@ class StabilityReport:
 # 7.9 MB in all 116-165 against 197 ms, 11.8 MB 288 against 254 ms, 13.7 MB
 # 350 against 287 ms, and 78 MB (2000 x 1000 each) 1.53 against 1.06 s.
 _POOLED_LOAD_BYTES = 12_000_000
+# The file, in a directory ``run_experiment`` owns, that holds the validation
+# cells while the models fit.
+_PARKED_VALIDATION = "validation.npy"
 
 
-def _load_cohorts(cfg: ExperimentConfig):
-    """The standardized train and validation cohorts, and the standardized
-    augment rows (or None), on the shared columns.
+def _load_cohorts(cfg: ExperimentConfig, park: str):
+    """The standardized train cohort, validation's feature names and labels,
+    and the standardized augment rows (or None), on the shared columns.
 
     Every file's header row is read first, in file order, so a missing or
     empty file, then cohorts that share no feature name, are refused before
     any cohort loads.  Each load job then keeps the shared columns, sorted,
     as ``align_common_features`` would, so no unaligned cohort reaches this
     process.  The train and augment jobs standardize their cohort on its own
-    statistics in the buffer they loaded it into, and validation is scaled
-    here with train's, in the array it arrived in, so this process never
-    holds a cohort beside a scaled copy.  Large files load in parallel forked
-    workers (``np.loadtxt`` holds the GIL, so threads would not help), with
-    the serial loads' warnings and errors: a fault in a file's rows is the
-    lowest failing job's.
+    statistics in the buffer they loaded it into.  The validation job parks
+    its cells in directory ``park`` instead, which ``_unpark_validation``
+    reads back once the fits are done: only scoring reads them.  Large files
+    load in parallel forked workers (``np.loadtxt`` holds the GIL, so threads
+    would not help), with the serial loads' warnings and errors: a fault in a
+    file's rows is the lowest failing job's.
     """
     jobs = [(cfg.train_path, cfg.label_column), (cfg.validation_path, cfg.label_column)]
     if cfg.augment_path is not None:
         jobs.append((cfg.augment_path, None))
     common = _common_names([_read_header(path) for path, _ in jobs], cfg.label_column)
 
-    def load(i: int) -> Dataset:
+    def load(i: int):
         path, label = jobs[i]
         d = _select_columns(load_dataset(path, label_column=label), common)
-        return d if i == 1 else _rescale(d, None, out=d.X)  # validation waits for train
+        if i != 1:
+            return _rescale(d, None, out=d.X)
+        np.save(os.path.join(park, _PARKED_VALIDATION), d.X)  # .npy keeps the memory order
+        return d.feature_names, d.y
 
     pooled = sum(os.path.getsize(path) for path, _ in jobs) >= _POOLED_LOAD_BYTES
     train_s, validation, *augment = imap_in_order(load, len(jobs), pooled=pooled)
-    validation_s = _rescale(validation, train_s, out=validation.X)
-    return train_s, validation_s, augment[0].X if augment else None
+    return train_s, validation, augment[0].X if augment else None
+
+
+def _unpark_validation(park: str, names, y, train_s: Dataset) -> Dataset:
+    """The validation cohort that ``_load_cohorts`` parked in ``park``, scaled
+    with standardized ``train_s``'s statistics in the array it is read into."""
+    X = np.load(os.path.join(park, _PARKED_VALIDATION))
+    return _rescale(Dataset(feature_names=names, X=X, y=y), train_s, out=X)
 
 
 def _build_laplacian_for(cfg: ExperimentConfig, train: Dataset):
@@ -239,25 +252,33 @@ def run_experiment(cfg: ExperimentConfig) -> StabilityReport:
 
     Deterministic: the optimizer seed doubles as the bootstrap base seed,
     so identical configs produce identical reports.  The cohorts arrive
-    standardized from their load jobs and the Laplacian is built after them,
-    so the fits run beside nothing cohort-sized that they do not use.  The
-    final full-data fit is job B of the bootstrap jobs: it runs in the pool
-    when the bootstraps' last round leaves a worker idle, else after the pool.
+    standardized from their load jobs and the Laplacian is built after them.
+    Validation's cells wait on disk, in a temporary directory, while the
+    models fit: the fits hold only what they use.  Once they are done, the
+    training cells, the Laplacian and the augment rows are freed before the
+    validation cells are read back to score.  The final full-data fit is job
+    B of the bootstrap jobs: it runs in the pool when the bootstraps' last
+    round leaves a worker idle, else after the pool.
     """
-    train_s, validation_s, augment_rows = _load_cohorts(cfg)
-    if len(np.unique(validation_s.y)) < 2:
-        raise ValueError(f"{cfg.validation_path}: validation cohort must hold both classes")
-    n = train_s.n_features
-    for k in cfg.k_list:
-        _require_int("k_list entries", k, 1, n - 1)
-    _require_int("top_for_snr", cfg.top_for_snr, 1, n)
+    with tempfile.TemporaryDirectory() as park:
+        train_s, (validation_names, validation_y), augment_rows = _load_cohorts(cfg, park)
+        if len(np.unique(validation_y)) < 2:
+            raise ValueError(f"{cfg.validation_path}: validation cohort must hold both classes")
+        n = train_s.n_features
+        for k in cfg.k_list:
+            _require_int("k_list entries", k, 1, n - 1)
+        _require_int("top_for_snr", cfg.top_for_snr, 1, n)
 
-    lap, dropped_edges = _build_laplacian_for(cfg, train_s)
+        lap, dropped_edges = _build_laplacian_for(cfg, train_s)
 
-    spec = ModelSpec(name=cfg.model, laplacian=lap, augment=augment_rows)
-    base_seed = cfg.optimizer.seed
-    ensemble, final = _bootstraps_and_final_fit(train_s, spec, cfg.hyperparams, cfg.optimizer,
-                                                cfg.n_bootstraps, base_seed)
+        spec = ModelSpec(name=cfg.model, laplacian=lap, augment=augment_rows)
+        base_seed = cfg.optimizer.seed
+        ensemble, final = _bootstraps_and_final_fit(train_s, spec, cfg.hyperparams, cfg.optimizer,
+                                                    cfg.n_bootstraps, base_seed)
+        # a zero-row train keeps its names and statistics; a view of X would keep X
+        n_train, train_s = train_s.n_samples, replace(train_s, X=np.empty((0, n)), y=None)
+        del lap, spec, augment_rows
+        validation_s = _unpark_validation(park, validation_names, validation_y, train_s)
 
     ranking = feature_importance(ensemble, train_s.raw_std)
     ci_curve = tuple(
@@ -279,7 +300,7 @@ def run_experiment(cfg: ExperimentConfig) -> StabilityReport:
 
     return StabilityReport(
         model=cfg.model,
-        n_train=train_s.n_samples,
+        n_train=n_train,
         n_validation=validation_s.n_samples,
         n_features=n,
         n_bootstraps=cfg.n_bootstraps,

@@ -5,6 +5,9 @@ Criteria 6-8 in ``test_acceptance.py`` and the tolerance gate in
 model family on the default synthetic cohort bundle.
 """
 
+import ctypes
+import glob
+import os
 import time
 import tracemalloc
 import warnings
@@ -32,6 +35,29 @@ needs_pool = pytest.mark.skipif(
     _pool._worker_blas_setter() is None,
     reason="the fork pool needs fork and numpy's bundled OpenBLAS",
 )
+
+
+# The OpenBLAS core whose kernels the byte pins were recorded with: report
+# bytes hold only on hosts whose OpenBLAS picks the same kernels.
+PIN_CORE = "SkylakeX"
+
+
+def openblas_core():
+    """The core name numpy's bundled OpenBLAS chose its kernels for, or None
+    where that library or its ``scipy_openblas_get_corename64_`` is absent."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_get_corename64_"):
+            get_core = lib.scipy_openblas_get_corename64_
+            get_core.restype = ctypes.c_char_p
+            return get_core().decode()
+    return None
+
+
+def pin_host():
+    """What a byte pin's failure says of the host it was recorded on and this one."""
+    return f"pinned on {PIN_CORE}; this host: {openblas_core()}"
 
 
 def force_workers(monkeypatch, n):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from stablepred import experiment
 from stablepred.cli import main
 from stablepred.data import load_dataset, load_feature_graph
 
@@ -114,6 +115,31 @@ class TestRun:
         assert main(["run", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err == (
             "error: no output directory: set output_dir in the config or pass --out\n")
+
+    @pytest.mark.parametrize("command, where, below", [
+        ("run", "--out", False), ("run", "--out", True), ("run", "output_dir", False),
+        ("compare", "--out", False),
+    ], ids=["run-out", "run-out-below-a-file", "run-output-dir", "compare-out"])
+    def test_file_as_output_dir_refused_before_loading(self, tmp_path, capsys, monkeypatch,
+                                                       command, where, below):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        out = taken / "report" if below else taken
+
+        def no_load(*args):
+            raise AssertionError("loaded the cohorts before the output path was checked")
+
+        monkeypatch.setattr(experiment, "_load_cohorts", no_load)
+        payload = run_config(tmp_path, tmp_path / "absent")
+        payload["output_dir"] = str(out if where == "output_dir" else tmp_path / "out")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(payload), encoding="utf-8")
+        argv = [command, "--configs" if command == "compare" else "--config", str(cfg_path)]
+        if where == "--out":
+            argv += ["--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {where} {out}: {taken} exists and is not a directory\n")
 
 
 class TestCompare:

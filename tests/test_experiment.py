@@ -8,6 +8,8 @@ import multiprocessing
 import os
 import pickle
 import re
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +35,7 @@ from stablepred.objectives import HyperParams
 from stablepred.optimizer import NumericalDivergenceError, OptimizerConfig
 from stablepred.synthetic import SyntheticSpec, generate, make_group_graph, write_bundle
 
-from conftest import force_workers, needs_pool
+from conftest import force_workers, needs_pool, pin_host
 
 SPEC = SyntheticSpec(
     n_samples=50, n_groups=3, group_size=4, within_group_noise=0.3,
@@ -225,6 +227,15 @@ class TestConfigValidation:
         assert ExperimentConfig.from_json(path) == cfg
 
 
+def one_class_cohort(out):
+    """The path of a cohort like the bundle's whose labels are all +1."""
+    d = generate(dataclasses.replace(SPEC, seed=SPEC.seed + 1))
+    path = out / "positive.csv"
+    write_dataset_csv(make_dataset(d.X, y=np.ones(d.n_samples), feature_names=d.feature_names),
+                      path)
+    return path
+
+
 class TestRunExperiment:
     def test_lasso_report_contents(self, cohort_dir):
         report = run_experiment(base_config(cohort_dir))
@@ -262,10 +273,7 @@ class TestRunExperiment:
 
     def test_one_class_validation_rejected_before_any_fit(self, cohort_dir, tmp_path,
                                                           monkeypatch):
-        d = generate(dataclasses.replace(SPEC, seed=SPEC.seed + 1))
-        path = tmp_path / "positive.csv"
-        write_dataset_csv(make_dataset(d.X, y=np.ones(d.n_samples),
-                                       feature_names=d.feature_names), path)
+        path = one_class_cohort(tmp_path)
 
         def no_fit(*args):
             raise AssertionError("fitted before the validation cohort was checked")
@@ -486,7 +494,7 @@ class TestReportPin:
         assert report.n_features == n - 2 and report.dropped_graph_edges > 0
         emit_report(report, tmp_path / "out")
         digest = hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest()
-        assert digest == PINNED_REPORT_SHA256
+        assert digest == PINNED_REPORT_SHA256, pin_host()
 
 
 # SHA-256 of report.json for B = 3, recorded with the final fit run after the
@@ -509,7 +517,7 @@ class TestFinalFitInPool:
         )
         emit_report(run_experiment(cfg), tmp_path)
         digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
-        assert digest == FOLDED_REPORT_SHA256
+        assert digest == FOLDED_REPORT_SHA256, pin_host()
         assert multiprocessing.active_children() == []
 
     @needs_pool
@@ -571,6 +579,18 @@ def ag_config(cohort_dir, **overrides):
     )
 
 
+def load_cohorts(cfg):
+    """``experiment._load_cohorts(cfg)`` in a temporary directory, with the
+    validation cohort read back from it as ``run_experiment`` reads it: the
+    standardized train and validation cohorts, the augment rows, and the
+    validation cells as parked."""
+    with tempfile.TemporaryDirectory() as park:
+        train_s, (names, y), augment_rows = experiment._load_cohorts(cfg, park)
+        parked = np.load(os.path.join(park, experiment._PARKED_VALIDATION))
+        validation_s = experiment._unpark_validation(park, names, y, train_s)
+        return train_s, validation_s, augment_rows, parked
+
+
 def load_both_ways(monkeypatch, run):
     """``run()`` with the cohorts loaded serially, then in the fork pool: each
     result, or the type and text of the error it raised."""
@@ -626,7 +646,7 @@ class TestPooledLoad:
         monkeypatch.setattr(experiment, "load_dataset", recording_load)
         monkeypatch.setattr(experiment, "_select_columns", recording_select)
         cfg = ag_config(cohort_dir)
-        serial, pooled = load_both_ways(monkeypatch, lambda: experiment._load_cohorts(cfg))
+        serial, pooled = load_both_ways(monkeypatch, lambda: load_cohorts(cfg))
         loader_pids = list(map(int, pids.read_text(encoding="utf-8").split()))
         assert loader_pids[:3] == [os.getpid()] * 3  # small files: the serial loads
         assert len(loader_pids) == 6 and os.getpid() not in loader_pids[3:]
@@ -662,6 +682,9 @@ class TestPooledLoad:
                 assert a.y.tobytes() == b.y.tobytes()
             assert got[2].tobytes() == want[2].tobytes()
             assert got[2].flags.f_contiguous == want[2].flags.f_contiguous
+            # the validation cells as parked: aligned, not yet scaled
+            assert got[3].tobytes() == validation.X.tobytes()
+            assert got[3].flags.f_contiguous == validation.X.flags.f_contiguous
         assert multiprocessing.active_children() == []
 
     def test_label_warning_reaches_caller(self, cohort_dir, tmp_path, monkeypatch):
@@ -695,7 +718,7 @@ class TestPooledLoad:
             disjoint.write_text(f"{renamed}\n{rest}", encoding="utf-8")
             paths = {"validation_path": str(disjoint)}
         cfg = base_config(cohort_dir, **paths)
-        serial, pooled = load_both_ways(monkeypatch, lambda: experiment._load_cohorts(cfg))
+        serial, pooled = load_both_ways(monkeypatch, lambda: load_cohorts(cfg))
         assert pooled == serial
         if broken == "ragged":
             assert serial == (ValueError, f"{ragged}: row 52 has 2 fields, expected 13")
@@ -703,4 +726,79 @@ class TestPooledLoad:
             assert serial == (ValueError, "datasets share no feature names")
         else:
             assert serial == (FileNotFoundError, f"no such file: {missing}")
+        assert multiprocessing.active_children() == []
+
+
+class TestParkedValidation:
+    """The validation cells wait on disk while the models fit, and no
+    temporary file outlives a run, however it ends."""
+
+    # 500 x 400 cohorts: the 400 x 400 Laplacian is 0.8 of a cohort, so the
+    # training cells, the augment rows and the Laplacian each show alone
+    WIDE = dataclasses.replace(SPEC, n_samples=500, n_groups=100, group_size=4)
+
+    @pytest.fixture(scope="class")
+    def wide_dir(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("wide")
+        write_bundle(self.WIDE, out)
+        return out
+
+    @pytest.mark.parametrize("workers", [2, 1])
+    def test_fit_inputs_freed_before_validation_is_read_back(self, wide_dir, monkeypatch,
+                                                             workers):
+        spec = self.WIDE
+        cohort_bytes = spec.n_samples * spec.n_groups * spec.group_size * 8
+        force_workers(monkeypatch, workers)
+        monkeypatch.setattr(experiment, "_POOLED_LOAD_BYTES", 0)
+        unpark, held = experiment._unpark_validation, []
+        imports = tracemalloc.Filter(False, "<frozen importlib._bootstrap>", all_frames=True)
+
+        def measured_unpark(*args):
+            # what the run holds, not the modules its first pool or np.unique import
+            snapshot = tracemalloc.take_snapshot().filter_traces([imports])
+            held.append(sum(trace.size for trace in snapshot.traces))
+            return unpark(*args)
+
+        monkeypatch.setattr(experiment, "_unpark_validation", measured_unpark)
+        tracemalloc.start(10)
+        try:
+            report = run_experiment(ag_config(
+                wide_dir, n_bootstraps=2,
+                optimizer=OptimizerConfig(max_iters=10, learning_rate=0.05, seed=5)))
+        finally:
+            tracemalloc.stop()
+        assert report.n_train == spec.n_samples and len(held) == 1
+        assert held[0] <= 0.25 * cohort_bytes  # 0.07 serial, 0.10 pooled
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [2, 1])
+    @pytest.mark.parametrize("outcome", ["report", "divergence", "one-class"])
+    def test_no_file_left_behind(self, cohort_dir, tmp_path, monkeypatch, workers, outcome):
+        force_workers(monkeypatch, workers)
+        monkeypatch.setattr(experiment, "_POOLED_LOAD_BYTES", 0)
+        temp = tmp_path / "tmp"
+        temp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp))
+        load = experiment._load_cohorts
+
+        def parking_load(cfg, park):
+            out = load(cfg, park)
+            assert Path(park).parent == temp
+            assert (Path(park) / experiment._PARKED_VALIDATION).is_file()
+            return out
+
+        monkeypatch.setattr(experiment, "_load_cohorts", parking_load)
+        if outcome == "report":
+            run_experiment(base_config(cohort_dir))
+        elif outcome == "divergence":
+            cfg = base_config(cohort_dir,
+                              optimizer=OptimizerConfig(max_iters=10, learning_rate=1e300, seed=0))
+            with np.errstate(all="ignore"), pytest.raises(NumericalDivergenceError,
+                                                          match="^bootstrap 0: "):
+                run_experiment(cfg)
+        else:
+            path = one_class_cohort(tmp_path)
+            with pytest.raises(ValueError, match="validation cohort must hold both classes"):
+                run_experiment(base_config(cohort_dir, validation_path=str(path)))
+        assert list(temp.iterdir()) == []
         assert multiprocessing.active_children() == []

@@ -38,7 +38,7 @@ from stablepred.experiment import StabilityReport, emit_report
 from stablepred.models import MODEL_NAMES, fit_model
 from stablepred.synthetic import acceptance_configs
 
-from conftest import run_ordering
+from conftest import pin_host, run_ordering
 from test_models import PIN_CFG, pin_case
 
 REFERENCE_PATH = Path(__file__).with_name("gate_reference.json")
@@ -128,7 +128,8 @@ def test_report_within_tolerance(reference, ordering_records, model):
 
 @pytest.mark.parametrize("model", ORDERING_MODELS)
 def test_report_bytes_pinned(reference, ordering_records, model):
-    assert ordering_records[model]["report_sha256"] == reference["reports"][model]["report_sha256"]
+    assert (ordering_records[model]["report_sha256"]
+            == reference["reports"][model]["report_sha256"]), pin_host()
 
 
 def assert_written_consistent(report, cfg):
