@@ -6,7 +6,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .experiment import ExperimentConfig, _read_json, compare_models, emit_report, run_experiment
+from .experiment import (ExperimentConfig, _read_json, _require_directory, compare_models,
+                          emit_report, run_experiment)
 from .synthetic import SyntheticSpec, write_bundle
 
 
@@ -17,14 +18,6 @@ def _cmd_gen_synthetic(args) -> int:
     print(f"wrote train.csv ({spec.n_samples} x {spec.n_features}) to {out}")
     print(f"wrote validation.csv, augment.csv (unlabeled), graph.tsv to {out}")
     return 0
-
-
-def _require_directory(path, what: str) -> None:
-    """Refuse ``path``, named as ``what``, before any cohort loads if the
-    first of it and its parents that exists is not a directory."""
-    existing = next((p for p in (Path(path), *Path(path).parents) if p.exists()), None)
-    if existing is not None and not existing.is_dir():
-        raise ValueError(f"{what} {path}: {existing} exists and is not a directory")
 
 
 def _cmd_run(args) -> int:

@@ -262,8 +262,10 @@ def run_experiment(cfg: ExperimentConfig) -> StabilityReport:
     """
     with tempfile.TemporaryDirectory() as park:
         train_s, (validation_names, validation_y), augment_rows = _load_cohorts(cfg, park)
-        if len(np.unique(validation_y)) < 2:
-            raise ValueError(f"{cfg.validation_path}: validation cohort must hold both classes")
+        for path, y, what in ((cfg.train_path, train_s.y, "training"),
+                              (cfg.validation_path, validation_y, "validation")):
+            if not ((y > 0).any() and (y < 0).any()):  # the rule of metrics' class check
+                raise ValueError(f"{path}: {what} cohort must hold both classes")
         n = train_s.n_features
         for k in cfg.k_list:
             _require_int("k_list entries", k, 1, n - 1)
@@ -355,6 +357,14 @@ def emit_report(report: StabilityReport, out_dir) -> list[Path]:
     ]
 
 
+def _require_directory(path, what: str) -> None:
+    """Refuse ``path``, named as ``what``, before any cohort loads if the
+    first of it and its parents that exists is not a directory."""
+    existing = next((p for p in (Path(path), *Path(path).parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ValueError(f"{what} {path}: {existing} exists and is not a directory")
+
+
 _SHARED_FIELDS = ("train_path", "validation_path", "label_column", "n_bootstraps", "k_list",
                   "top_for_snr", "selected_tol")
 
@@ -379,6 +389,8 @@ def compare_models(
                 )
         if cfg.optimizer.seed != first.optimizer.seed:
             raise ValueError("configs disagree on the shared seed")
+    if output_dir is not None:
+        _require_directory(output_dir, "output_dir")
 
     reports = [run_experiment(cfg) for cfg in cfgs]
 

@@ -54,7 +54,8 @@ def best_f_threshold(p: PredictionSet) -> tuple[float, float]:
     degenerate confusion matrix (no predicted or matched positives) scores 0.
     """
     _require_both_classes(p)
-    distinct = np.unique(p.scores)
+    s = np.sort(p.scores)
+    distinct = s[np.r_[True, s[1:] != s[:-1]]]  # np.unique's result, without importing numpy.ma
     # -inf and +inf are adjacent only as the sole distinct scores, and have no
     # midpoint: (-inf + inf) / 2 is NaN
     if np.array_equal(distinct, [-np.inf, np.inf]):
@@ -68,7 +69,7 @@ def best_f_threshold(p: PredictionSet) -> tuple[float, float]:
     mid[over] = lo[over] / 2.0 + hi[over] / 2.0
     candidates = np.concatenate([[-np.inf], mid, [np.inf]])
     # counts of scores >= each candidate, all and positive, from sorted scores
-    n_pred = len(p.scores) - np.searchsorted(np.sort(p.scores), candidates)
+    n_pred = len(s) - np.searchsorted(s, candidates)
     positives = np.sort(p.scores[p.labels > 0])
     n_pos = len(positives)
     tp = n_pos - np.searchsorted(positives, candidates)

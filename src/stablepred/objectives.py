@@ -219,23 +219,14 @@ def _penalized(d: Dataset, h: HyperParams, lap: np.ndarray | None):
     return f
 
 
-def _ae_forward(W, V, b_W, b_V, X: np.ndarray):
-    """Hidden activations, reconstruction residual and reconstruction loss."""
+def _reconstruction(W, V, b_W, b_V, X: np.ndarray):
+    """Reconstruction loss over the rows of X and its gradient in W, V, b_W and b_V."""
     hidden = expit(X @ W.T + b_W)
     residual = X - b_V - hidden @ V.T
-    return hidden, residual, float(np.sum(residual**2) / (2.0 * W.shape[1] * X.shape[0]))
-
-
-def _ae_backward(V, X: np.ndarray, hidden: np.ndarray, residual: np.ndarray):
-    """Gradient of the reconstruction loss in W, V, b_W and b_V."""
+    loss = float(np.sum(residual**2) / (2.0 * W.shape[1] * X.shape[0]))
     d_resid = residual / (V.shape[0] * X.shape[0])
-    d_hidden = -(d_resid @ V)
-    d_pre = d_hidden * hidden * (1.0 - hidden)
-    return d_pre.T @ X, -(d_resid.T @ hidden), d_pre.sum(axis=0), -d_resid.sum(axis=0)
-
-
-def _l2_value(lambda_l2: float, W, V, b_W, b_V) -> float:
-    return float(lambda_l2 * (np.sum(W**2) + np.sum(V**2) + np.sum(b_W**2) + np.sum(b_V**2)))
+    d_pre = -(d_resid @ V) * hidden * (1.0 - hidden)
+    return loss, (d_pre.T @ X, -(d_resid.T @ hidden), d_pre.sum(axis=0), -d_resid.sum(axis=0))
 
 
 def linear_objective(d: Dataset, h: HyperParams, lap: np.ndarray | None = None):
@@ -276,12 +267,13 @@ def joint_objective(d: Dataset, aug: np.ndarray | None, h: HyperParams,
         g_blocks = (g_W, *g_decoder)
         blocks = (W, V, b_W, b_V)
         if rows is not None:
-            hidden, residual, ae = _ae_forward(W, V, b_W, b_V, rows)
+            ae, g_ae_blocks = _reconstruction(*blocks, rows)
             loss += h.lambda_ae * ae
-            for g, g_ae in zip(g_blocks, _ae_backward(V, rows, hidden, residual)):
+            for g, g_ae in zip(g_blocks, g_ae_blocks):
                 g += h.lambda_ae * g_ae
-        loss += _l2_value(h.lambda_l2, *blocks)
         if h.lambda_l2 != 0.0:
+            loss += float(h.lambda_l2 * (np.sum(W**2) + np.sum(V**2) + np.sum(b_W**2)
+                                         + np.sum(b_V**2)))
             c = 2.0 * h.lambda_l2
             for g, block in zip(g_blocks, blocks):
                 g += c * block
@@ -299,10 +291,9 @@ def autoencoder_objective(X: np.ndarray):
     n = X.shape[1]
 
     def value_and_grad(vec: np.ndarray):
-        _, W, V, b_W, b_V = _factor_views(vec, n)
-        hidden, residual, loss = _ae_forward(W, V, b_W, b_V, X)
+        loss, g_ae_blocks = _reconstruction(*_factor_views(vec, n)[1:], X)
         grad = np.zeros_like(vec)
-        for g, g_ae in zip(_factor_views(grad, n)[1:], _ae_backward(V, X, hidden, residual)):
+        for g, g_ae in zip(_factor_views(grad, n)[1:], g_ae_blocks):
             g[:] = g_ae
         return loss, grad
 

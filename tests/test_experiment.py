@@ -271,16 +271,18 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=r"k_list entries must be an integer in \[1, 11\], got 12"):
             run_experiment(cfg)
 
-    def test_one_class_validation_rejected_before_any_fit(self, cohort_dir, tmp_path,
-                                                          monkeypatch):
+    @pytest.mark.parametrize("field,what", [("train_path", "training"),
+                                            ("validation_path", "validation")])
+    def test_one_class_cohort_rejected_before_any_fit(self, cohort_dir, tmp_path, monkeypatch,
+                                                      field, what):
         path = one_class_cohort(tmp_path)
 
         def no_fit(*args):
-            raise AssertionError("fitted before the validation cohort was checked")
+            raise AssertionError(f"fitted before the {what} cohort was checked")
 
         monkeypatch.setattr(experiment, "_bootstraps_and_final_fit", no_fit)
-        with pytest.raises(ValueError, match=re.escape(f"{path}: validation cohort must hold")):
-            run_experiment(base_config(cohort_dir, validation_path=str(path)))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {what} cohort must hold")):
+            run_experiment(base_config(cohort_dir, **{field: str(path)}))
 
     def test_report_fields_reproducible_from_modules(self, cohort_dir):
         # the report's CI entry must equal the stability module's own value
@@ -444,6 +446,18 @@ class TestCompareModels:
         # and the same CSVs read with another label column are other cohorts
         with pytest.raises(ValueError, match=field):
             compare_models([base_config(cohort_dir), base_config(cohort_dir, **{field: value})])
+
+    def test_file_as_output_dir_rejected_before_any_load(self, cohort_dir, tmp_path, monkeypatch):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+
+        def no_load(*args):
+            raise AssertionError("loaded a cohort before output_dir was checked")
+
+        monkeypatch.setattr(experiment, "_load_cohorts", no_load)
+        with pytest.raises(ValueError, match=re.escape(
+                f"output_dir {taken}: {taken} exists and is not a directory")):
+            compare_models([base_config(cohort_dir)], output_dir=taken)
 
     def test_mismatched_seed_rejected(self, cohort_dir):
         a = base_config(cohort_dir)

@@ -1,6 +1,7 @@
 """Model registry, hyperparameter applicability, and variant fitting."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -212,6 +213,15 @@ PINNED_FITS = {
         176, True, "923aaab7dc1964fcda7c8800caf6387d0bf6d91cc0f781a75c0623528b1188c2"),
 }
 
+# The same digest for two autoencoder cases refitted with lambda_l2 = 0, the
+# one setting at which the weight decay adds nothing to the loss or gradient.
+PINNED_NO_DECAY_FITS = {
+    "lasso-autoencoder": (
+        260, True, "50e360d13a60abebbf82dc56cb80f068f74b302d95797cc90507d0f2acb20e9b"),
+    "ag-lasso-autoencoder-graph": (
+        178, True, "64963457ccc84f269e08aeadc5692c113c075b9926791d69eddf812d4793d870"),
+}
+
 
 def pin_case(model):
     """The training cohort, ModelSpec and HyperParams of one pinned fit."""
@@ -239,14 +249,23 @@ def pin_case(model):
 PIN_CFG = OptimizerConfig(max_iters=300, learning_rate=0.05, rel_tol=3e-6, seed=3)
 
 
+def pinned_digest(spec, train, h):
+    """(iterations used, converged, SHA-256) of one fit, as PINNED_FITS holds them."""
+    fit = fit_model(spec, train, h, PIN_CFG)
+    digest = hashlib.sha256()
+    digest.update(fit.effective_theta.tobytes())
+    digest.update(np.float64(fit.bias).tobytes())
+    digest.update(np.asarray(fit.result.loss_trace, dtype=float).tobytes())
+    return fit.result.iterations_used, fit.result.converged, digest.hexdigest()
+
+
 class TestBitIdentity:
     @pytest.mark.parametrize("model", MODEL_NAMES)
     def test_fit_matches_pinned_bits(self, model):
         train, spec, h = pin_case(model)
-        fit = fit_model(spec, train, h, PIN_CFG)
-        digest = hashlib.sha256()
-        digest.update(fit.effective_theta.tobytes())
-        digest.update(np.float64(fit.bias).tobytes())
-        digest.update(np.asarray(fit.result.loss_trace, dtype=float).tobytes())
-        got = (fit.result.iterations_used, fit.result.converged, digest.hexdigest())
-        assert got == PINNED_FITS[model]
+        assert pinned_digest(spec, train, h) == PINNED_FITS[model]
+
+    @pytest.mark.parametrize("model", sorted(PINNED_NO_DECAY_FITS))
+    def test_fit_without_weight_decay_matches_pinned_bits(self, model):
+        train, spec, h = pin_case(model)
+        assert pinned_digest(spec, train, replace(h, lambda_l2=0.0)) == PINNED_NO_DECAY_FITS[model]
